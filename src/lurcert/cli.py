@@ -55,6 +55,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# a family grid allocates one float per point before any state is built
+MAX_GRID_POINTS = 10**6
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -67,11 +71,17 @@ def _parse_grid(spec: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise InvalidParameterError(f"grid values must be numbers, got {spec!r}") from exc
+    if not all(np.isfinite((start, stop, step))):
+        raise InvalidParameterError(f"grid values must be finite, got {spec!r}")
     if step <= 0:
         raise InvalidParameterError("grid step must be positive")
     if stop < start:
         raise InvalidParameterError("grid stop must not be below start")
-    count = int(round((stop - start) / step))
+    intervals = (stop - start) / step
+    # compared before rounding, since a tiny step makes intervals huge or inf
+    if intervals >= MAX_GRID_POINTS or int(round(intervals)) + 1 > MAX_GRID_POINTS:
+        raise InvalidParameterError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
+    count = int(round(intervals))
     values = [start + k * step for k in range(count + 1)]
     # snap float accumulation onto the endpoint so p = stop stays in range
     values = [stop if abs(v - stop) < 1e-12 else v for v in values]

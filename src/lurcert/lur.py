@@ -9,7 +9,7 @@ violated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,12 +18,11 @@ from .spin_ops import OperatorSet, SpinQuantum, stokes_components
 from .states import (
     DensityMatrix,
     bell_mixture,
-    state_digest,
     x_decoherence_mixture,
     _check_probabilities,
     _check_fraction,
 )
-from .uncertainty import UncertaintyRelation, catalog_bound, variance
+from .uncertainty import UncertaintyRelation, catalog_bound, clip_variance, real_part
 
 # A state must undercut the local limit by this much before it is flagged;
 # false positives are the fatal error mode for a witness.
@@ -38,7 +37,6 @@ class JointOperatorSet:
 
     set_a: OperatorSet
     set_b: OperatorSet
-    joint: tuple[np.ndarray, ...]
     local_limit: float
     bound_provenance: tuple[str, str]
     label: str
@@ -75,15 +73,9 @@ def build_joint(
     local_limit = float(u_a) + float(u_b)
     if not local_limit > 0:
         raise InvalidParameterError("local limit must be positive to define a violation")
-    eye_a = np.eye(set_a.dim)
-    eye_b = np.eye(set_b.dim)
-    joint = tuple(
-        np.kron(a, eye_b) + np.kron(eye_a, b) for a, b in zip(set_a, set_b)
-    )
     return JointOperatorSet(
         set_a=set_a,
         set_b=set_b,
-        joint=joint,
         local_limit=local_limit,
         bound_provenance=tuple(provenance),
         label=label or f"{set_a.label}+{set_b.label}",
@@ -130,15 +122,7 @@ def joint_from_catalog(relation: str, dim_a: int, dim_b: int) -> JointOperatorSe
             )
         size = SpinQuantum(dim - 1) if kind.startswith("spin") else dim - 1
         sides.append(catalog_bound(kind, size))
-    joint = joint_from_relations(*sides)
-    return JointOperatorSet(
-        set_a=joint.set_a,
-        set_b=joint.set_b,
-        joint=joint.joint,
-        local_limit=joint.local_limit,
-        bound_provenance=joint.bound_provenance,
-        label=relation,
-    )
+    return replace(joint_from_relations(*sides), label=relation)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,6 +131,7 @@ class LurCertificate:
 
     ``entangled`` is True only when the total undercuts the local limit by
     more than the verdict margin; False does NOT imply separability.
+    ``state_digest`` is hashed from ``state`` when it is first read.
     """
 
     per_component: tuple[float, ...]
@@ -155,8 +140,12 @@ class LurCertificate:
     relative_violation: float
     entangled: bool
     bound_provenance: tuple[str, str]
-    state_digest: str
     relation_label: str
+    state: DensityMatrix = field(repr=False)
+
+    @property
+    def state_digest(self) -> str:
+        return self.state.digest
 
     def to_json_dict(self) -> dict:
         return {
@@ -180,7 +169,26 @@ def certify(rho: DensityMatrix, joint: JointOperatorSet) -> LurCertificate:
             f"state dims {rho.dims} do not match joint operator dims "
             f"({joint.dim_a}, {joint.dim_b})"
         )
-    per_component = tuple(variance(rho, j) for j in joint.joint)
+    # Tr(rho J) and Tr(rho J^2) for J = A (x) 1 + 1 (x) B from the local
+    # operators alone, O(D^2) per component.  With the state as
+    # r[a, b, a', b'] and vec(O^T) . vec(X) = Tr(X O): <A (x) 1> =
+    # Tr(rho_A A), <1 (x) B> = Tr(rho_B B), and <A (x) B> =
+    # vec(A^T) . pairs . vec(B^T) with pairs[(a, a'), (b, b')] = r[a, b, a', b'].
+    da, db = rho.dim_a, rho.dim_b
+    r = rho.matrix.reshape(da, db, da, db)
+    rho_a = np.trace(r, axis1=1, axis2=3).reshape(-1)
+    rho_b = np.trace(r, axis1=0, axis2=2).reshape(-1)
+    pairs = r.transpose(0, 2, 1, 3).reshape(da * da, db * db)
+    ops_a = np.array(joint.set_a.operators)
+    ops_b = np.array(joint.set_b.operators)
+    vec_a, vec_b = _transposed_rows(ops_a), _transposed_rows(ops_b)
+    mean = real_part(vec_a @ rho_a + vec_b @ rho_b)
+    second = real_part(
+        _transposed_rows(ops_a @ ops_a) @ rho_a
+        + _transposed_rows(ops_b @ ops_b) @ rho_b
+        + 2 * ((vec_a @ pairs) * vec_b).sum(axis=1)
+    )
+    per_component = tuple(clip_variance(v) for v in (second - mean * mean).tolist())
     total = sum(per_component)
     return LurCertificate(
         per_component=per_component,
@@ -189,9 +197,14 @@ def certify(rho: DensityMatrix, joint: JointOperatorSet) -> LurCertificate:
         relative_violation=1.0 - total / joint.local_limit,
         entangled=total < joint.local_limit - VERDICT_MARGIN,
         bound_provenance=joint.bound_provenance,
-        state_digest=state_digest(rho),
         relation_label=joint.label,
+        state=rho,
     )
+
+
+def _transposed_rows(ops: np.ndarray) -> np.ndarray:
+    """Row i is vec(O_i^T), so that row . vec(X) = Tr(X O_i)."""
+    return ops.transpose(0, 2, 1).reshape(len(ops), -1)
 
 
 def wootters_concurrence(rho: DensityMatrix) -> float:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,11 @@ class DensityMatrix:
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
 
+    @cached_property
+    def digest(self) -> str:
+        """``state_digest(self)``, computed on first read and then kept."""
+        return state_digest(self)
+
     def __repr__(self) -> str:
         return f"DensityMatrix(dims={self.dims})"
 
@@ -211,12 +217,7 @@ def singlet_state(spin: SpinQuantum, tolerances: Tolerances | None = None) -> De
     return singlet_ket(spin).projector(dims=(n, n), tolerances=tolerances)
 
 
-def bell_kets() -> dict[str, PureState]:
-    """The four Bell states of a 2x2 pair in the descending-m product basis.
-
-    S is the singlet; each triplet Ti is annihilated by S_i(A) + S_i(B).
-    Construction is verified against those defining relations.
-    """
+def _checked_bell_kets() -> dict[str, PureState]:
     s2 = np.sqrt(2.0)
     kets = {
         "S": PureState(np.array([0, 1, -1, 0], dtype=complex) / s2),
@@ -237,21 +238,33 @@ def bell_kets() -> dict[str, PureState]:
     return kets
 
 
+_BELL_KETS = _checked_bell_kets()
+
+
+def bell_kets() -> dict[str, PureState]:
+    """The four Bell states of a 2x2 pair in the descending-m product basis.
+
+    S is the singlet; each triplet Ti is annihilated by S_i(A) + S_i(B).
+    The kets are built and verified against those defining relations once,
+    at import; each call returns a fresh dict.
+    """
+    return dict(_BELL_KETS)
+
+
 def bell_states(tolerances: Tolerances | None = None) -> dict[str, DensityMatrix]:
     """Projectors onto the four Bell states, keyed S, T1, T2, T3."""
     return {
         name: ket.projector(dims=(2, 2), tolerances=tolerances)
-        for name, ket in bell_kets().items()
+        for name, ket in _BELL_KETS.items()
     }
 
 
 def bell_mixture(p_s, p_1, p_2, p_3, tolerances: Tolerances | None = None) -> DensityMatrix:
     """Mixture p_S |S><S| + p_1 |T1><T1| + p_2 |T2><T2| + p_3 |T3><T3|."""
     weights = _check_probabilities((p_s, p_1, p_2, p_3), what="Bell weights")
-    kets = bell_kets()
     matrix = np.zeros((4, 4), dtype=complex)
     for w, name in zip(weights, ("S", "T1", "T2", "T3")):
-        amps = kets[name].amplitudes
+        amps = _BELL_KETS[name].amplitudes
         matrix += w * np.outer(amps, amps.conj())
     return DensityMatrix(matrix, (2, 2), tolerances)
 

@@ -35,13 +35,30 @@ ANALYTIC = "analytic"
 NUMERICALLY_CERTIFIED = "numerically-certified"
 
 
-def _real_trace(product: np.ndarray) -> float:
-    t = np.trace(product)
-    if abs(t.imag) > _IMAG_GUARD:
+def real_part(traces):
+    """Real part of a trace, or an array of traces, of Hermitian products;
+    raises when an imaginary part exceeds the rounding guard."""
+    worst = np.abs(np.imag(traces)).max()
+    if worst > _IMAG_GUARD:
         raise linalg.LurcertError(
-            f"trace has non-negligible imaginary part {t.imag:.3e}; inputs look corrupted"
+            f"trace has non-negligible imaginary part {worst:.3e}; inputs look corrupted"
         )
-    return float(t.real)
+    return np.real(traces)
+
+
+def _real_trace(product: np.ndarray) -> float:
+    return float(real_part(np.trace(product)))
+
+
+def clip_variance(value: float) -> float:
+    """Clip a variance within -1e-12 of zero to zero; raise below that."""
+    if value < 0:
+        if value < _VARIANCE_FLOOR:
+            raise linalg.LurcertError(
+                f"variance {value:.3e} is negative beyond tolerance; inputs look corrupted"
+            )
+        value = 0.0
+    return value
 
 
 def expectation(rho: DensityMatrix, a: np.ndarray) -> float:
@@ -64,14 +81,7 @@ def variance(rho: DensityMatrix, a: np.ndarray) -> float:
         )
     mean = _real_trace(rho.matrix @ a)
     second = _real_trace(rho.matrix @ (a @ a))
-    value = second - mean * mean
-    if value < 0:
-        if value < _VARIANCE_FLOOR:
-            raise linalg.LurcertError(
-                f"variance {value:.3e} is negative beyond tolerance; inputs look corrupted"
-            )
-        value = 0.0
-    return value
+    return clip_variance(second - mean * mean)
 
 
 def sum_uncertainty(rho: DensityMatrix, operator_set: OperatorSet) -> float:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lurcert import cli
+from lurcert import cli, states
 from lurcert.lur import certify, joint_from_catalog
 from lurcert.spin_ops import SpinQuantum
 from lurcert.states import (
@@ -190,6 +190,34 @@ def test_family_errors(tmp_path, capsys):
                "--out", str(tmp_path / "x.csv"))
     assert code == 2  # 3x3 family vs 2-level relation
     capsys.readouterr()
+
+
+def test_family_grid_point_cap(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    # one point over the cap is refused before the grid is built
+    over = f"0:1:{1 / cli.MAX_GRID_POINTS!r}"
+    code = run("family", "--kind", "bell", "--grid", over, "--relation", "s3", "--out", str(out))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error[invalid-parameter]:")
+    assert not out.exists()
+    for spec in ("0:1e300:1e-300", "0:inf:1", "0:1:nan"):
+        code = run("family", "--kind", "bell", "--grid", spec, "--relation", "s3", "--out", str(out))
+        assert code == 2, spec
+        assert capsys.readouterr().err.startswith("error[invalid-parameter]:"), spec
+    assert len(cli._parse_grid(f"0:{cli.MAX_GRID_POINTS - 1}:1")) == cli.MAX_GRID_POINTS
+
+
+def test_certify_json_digest_is_hashed_once(tmp_path, monkeypatch):
+    state = tmp_path / "white.json"
+    cert_path = tmp_path / "cert.json"
+    run("state-gen", "--kind", "white", "--two-l", "2", "--p", "0.3", "--out", str(state))
+    original = states.state_digest
+    calls = []
+    monkeypatch.setattr(states, "state_digest", lambda s: calls.append(s) or original(s))
+    assert run("certify", "--state", str(state), "--relation", "l3", "--json", str(cert_path)) == 3
+    assert len(calls) == 1
+    doc = json.loads(cert_path.read_text())
+    assert doc["state_digest"] == original(read_state(state))
 
 
 def reported_minimum(out):

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from lurcert.linalg import DimensionMismatchError, InvalidParameterError
+from lurcert import states
+from lurcert.linalg import DimensionMismatchError, InvalidParameterError, LurcertError, Tolerances
 from lurcert.lur import (
     RELATION_KINDS,
+    VERDICT_MARGIN,
     VisibilityRecord,
     bell_mixture_analysis,
     build_joint,
@@ -18,19 +20,50 @@ from lurcert.lur import (
     white_noise_violation,
     wootters_concurrence,
 )
-from lurcert.spin_ops import SpinQuantum, spin_components, spin_subset, stokes_subset
+from lurcert.spin_ops import (
+    OperatorSet,
+    SpinQuantum,
+    spin_components,
+    spin_subset,
+    stokes_subset,
+)
 from lurcert.states import (
+    DensityMatrix,
     bell_mixture,
     bell_states,
     maximally_mixed,
     random_mixed_state,
     random_product_state,
+    random_pure_state,
     singlet_state,
     validate,
     white_noise_mixture,
     x_decoherence_mixture,
 )
 from lurcert.uncertainty import catalog_bound
+
+
+def kron_reference(rho, joint):
+    """Per-component Tr(rho J^2) - Tr(rho J)^2 with J = A (x) 1 + 1 (x) B
+    built as a full joint matrix."""
+    eye_a, eye_b = np.eye(joint.dim_a), np.eye(joint.dim_b)
+    out = []
+    for a, b in zip(joint.set_a, joint.set_b):
+        j = np.kron(a, eye_b) + np.kron(eye_a, b)
+        mean = np.trace(rho.matrix @ j).real
+        out.append(np.trace(rho.matrix @ j @ j).real - mean * mean)
+    return out
+
+
+def assert_matches_kron_reference(rho, joint):
+    cert = certify(rho, joint)
+    reference = kron_reference(rho, joint)
+    total = sum(reference)
+    tol = 1e-12 * max(1.0, abs(total))
+    assert len(cert.per_component) == len(reference)
+    assert np.abs(np.array(cert.per_component) - reference).max() <= tol
+    assert abs(cert.total - total) <= tol
+    assert cert.entangled == (total < joint.local_limit - VERDICT_MARGIN)
 
 
 def test_build_joint_local_limits():
@@ -61,7 +94,7 @@ def test_build_joint_asymmetric_pair():
         rel_a.operator_set, rel_a.bound, rel_b.operator_set, rel_b.bound
     )
     assert joint.local_limit == 1.5
-    assert joint.joint[0].shape == (6, 6)
+    assert_matches_kron_reference(random_mixed_state(6, np.random.default_rng(40), dims=(2, 3)), joint)
 
 
 def test_certify_singlet_maximal_violation():
@@ -273,3 +306,111 @@ def test_certificate_json_schema():
     assert doc["bound_provenance"] == ["analytic", "analytic"]
     assert len(doc["state_digest"]) == 64
     json.dumps(doc)  # serializable as-is
+
+
+def _random_hermitian_set(dim, count, rng, label):
+    ops = []
+    for _ in range(count):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        ops.append((g + g.conj().T) / 2)
+    return OperatorSet(label, tuple(ops))
+
+
+def _joint_pairs(dim_a, dim_b, rng):
+    """A catalog-style relation and a random Hermitian relation on dim_a x dim_b."""
+    if dim_a == dim_b:
+        catalog = joint_from_catalog("l3", dim_a, dim_b)
+    else:
+        rel_a = catalog_bound("spin3", SpinQuantum(dim_a - 1))
+        rel_b = catalog_bound("stokes3", dim_b - 1)
+        catalog = build_joint(rel_a.operator_set, rel_a.bound, rel_b.operator_set, rel_b.bound)
+    random_set = build_joint(
+        _random_hermitian_set(dim_a, 3, rng, "ra"), 0.5,
+        _random_hermitian_set(dim_b, 3, rng, "rb"), 0.5,
+    )
+    return catalog, random_set
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 4), (12, 12)])
+def test_certify_matches_kron_reference(dims):
+    rng = np.random.default_rng(47 + dims[0] * 13 + dims[1])
+    d = dims[0] * dims[1]
+    joints = _joint_pairs(*dims, rng)
+    for k in range(12 if d < 100 else 3):
+        for rho in (
+            random_mixed_state(d, rng, dims=dims),
+            random_pure_state(d, rng).projector(dims=dims),
+            random_product_state(*dims, rng, pure=bool(k % 2)),
+        ):
+            for joint in joints:
+                assert_matches_kron_reference(rho, joint)
+
+
+def test_certify_matches_kron_reference_on_families():
+    for p in np.linspace(0.0, 1.0, 11):
+        for two_l in (1, 2, 11):
+            n = two_l + 1
+            rho = white_noise_mixture(SpinQuantum(two_l), p)
+            for relation in ("l3", "s3"):
+                assert_matches_kron_reference(rho, joint_from_catalog(relation, n, n))
+        for relation in ("l3", "s3", "l2n3", "s2n3"):
+            assert_matches_kron_reference(x_decoherence_mixture(p), joint_from_catalog(relation, 3, 3))
+        for relation in ("s3", "s2n2"):
+            assert_matches_kron_reference(bell_mixture(p, 1 - p, 0, 0), joint_from_catalog(relation, 2, 2))
+
+
+def test_certify_keeps_the_imaginary_part_guard():
+    # an anti-Hermitian perturbation below a loosened Hermiticity tolerance
+    # passes validation but leaves Tr(rho J) with an imaginary part
+    g = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
+    matrix = maximally_mixed((2, 2)).matrix + 1e-4j * g
+    rho = DensityMatrix(matrix, (2, 2), Tolerances(hermiticity=1e-3))
+    with pytest.raises(LurcertError, match="imaginary part"):
+        certify(rho, joint_from_catalog("s3", 2, 2))
+
+
+def test_certify_keeps_the_negative_variance_floor():
+    # (1 + eps)|S><S| - eps|up up><up up| has eigenvalue -eps and a negative
+    # joint variance -eps <J^2>, which only a loosened positivity floor admits
+    eps = 1e-4
+    up_up = np.zeros((4, 4), dtype=complex)
+    up_up[0, 0] = 1.0
+    matrix = (1 + eps) * singlet_state(SpinQuantum(1)).matrix - eps * up_up
+    rho = DensityMatrix(matrix, (2, 2), Tolerances(positivity_floor=-1e-3))
+    with pytest.raises(LurcertError, match="negative beyond tolerance"):
+        certify(rho, joint_from_catalog("s3", 2, 2))
+    # a deficit within the floor is clipped to zero
+    matrix = (1 + 1e-14) * singlet_state(SpinQuantum(1)).matrix - 1e-14 * up_up
+    rho = DensityMatrix(matrix, (2, 2))
+    cert = certify(rho, joint_from_catalog("s3", 2, 2))
+    assert min(cert.per_component) >= 0.0
+
+
+def test_certificate_fields_are_plain_python_values():
+    cert = certify(white_noise_mixture(SpinQuantum(2), 0.2), joint_from_catalog("l3", 3, 3))
+    assert all(type(v) is float for v in cert.per_component)
+    assert type(cert.total) is float
+    assert type(cert.local_limit) is float
+    assert type(cert.relative_violation) is float
+    assert type(cert.entangled) is bool
+
+
+def test_state_digest_is_hashed_lazily_and_once(monkeypatch):
+    original = states.state_digest
+    calls = []
+
+    def counting(state):
+        calls.append(state)
+        return original(state)
+
+    monkeypatch.setattr(states, "state_digest", counting)
+    rho = white_noise_mixture(SpinQuantum(2), 0.3)
+    cert = certify(rho, joint_from_catalog("l3", 3, 3))
+    assert calls == []
+    first = cert.state_digest
+    second = cert.state_digest
+    assert len(calls) == 1
+    assert first == second == original(rho)
+    # another certificate of the same state reuses its digest
+    assert certify(rho, joint_from_catalog("s3", 3, 3)).state_digest == first
+    assert len(calls) == 1

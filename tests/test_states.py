@@ -133,6 +133,15 @@ def test_singlet_swap_invariant():
         assert np.abs(swap @ rho @ swap - rho).max() < 1e-12
 
 
+def test_bell_kets_returns_a_fresh_dict():
+    kets = bell_kets()
+    kets["S"] = kets["T1"]
+    del kets["T2"]
+    again = bell_kets()
+    assert set(again) == {"S", "T1", "T2", "T3"}
+    assert np.allclose(again["S"].amplitudes, np.array([0, 1, -1, 0]) / np.sqrt(2.0))
+
+
 def test_bell_states_annihilation_and_orthogonality():
     kets = bell_kets()
     pauli = [2 * op for op in spin_components(SpinQuantum(1))]
