@@ -23,6 +23,13 @@ REFUTATION_MARGIN = 1e-7
 AGREEMENT_WINDOW = 1e-8
 # Global-minimum confidence requires this fraction of restarts agreeing.
 CONFIDENCE_FRACTION = 0.25
+# Restarts descend together in blocks of this many columns, so the solver's
+# arrays stay O(dim * RESTART_BLOCK) whatever the restart count.
+RESTART_BLOCK = 64
+
+STOP_REASONS = ("gradient", "line-search", "stall", "max-iterations")
+_GRADIENT, _LINE_SEARCH, _STALL, _MAX_ITERATIONS = range(len(STOP_REASONS))
+_ACTIVE = -1
 
 
 @dataclass(frozen=True)
@@ -61,14 +68,23 @@ class SearchConfig:
 
 @dataclass(frozen=True, eq=False)
 class SearchResult:
-    """Best minimum over restarts with per-restart bookkeeping."""
+    """Best minimum over restarts with per-restart bookkeeping.
+
+    ``restart_stops`` names why each restart stopped: the gradient fell
+    below tolerance, the line search found no descent above ``min_step``,
+    the stall window saw too little decrease, or the iteration cap hit.
+    """
 
     minimum: float
     argmin: PureState
     restart_minima: tuple[float, ...]
-    restart_converged: tuple[bool, ...]
+    restart_stops: tuple[str, ...]
     restarts_agreeing: int
     low_confidence: bool
+
+    @property
+    def restart_converged(self) -> tuple[bool, ...]:
+        return tuple(stop != "max-iterations" for stop in self.restart_stops)
 
     @property
     def converged_count(self) -> int:
@@ -78,73 +94,102 @@ class SearchResult:
     def any_converged(self) -> bool:
         return any(self.restart_converged)
 
-
-def _objective(ops, squares, psi: np.ndarray) -> float:
-    f = 0.0
-    for a, a2 in zip(ops, squares):
-        mean = np.vdot(psi, a @ psi).real
-        f += np.vdot(psi, a2 @ psi).real - mean * mean
-    return f
+    @property
+    def stop_counts(self) -> dict[str, int]:
+        return {reason: self.restart_stops.count(reason) for reason in STOP_REASONS}
 
 
-def _objective_and_gradient(ops, squares, psi: np.ndarray) -> tuple[float, np.ndarray]:
-    f = 0.0
-    grad = np.zeros_like(psi)
-    for a, a2 in zip(ops, squares):
-        a_psi = a @ psi
-        a2_psi = a2 @ psi
-        mean = np.vdot(psi, a_psi).real
-        f += np.vdot(psi, a2_psi).real - mean * mean
-        grad += 2.0 * (a2_psi - 2.0 * mean * a_psi)
-    # Tangent projection on the unit sphere; the global-phase component of
-    # the gradient vanishes identically because f is phase invariant.
-    grad -= np.vdot(psi, grad).real * psi
+def _operator_stack(operator_set: OperatorSet) -> np.ndarray:
+    """(k+1, d, d) stack: sum_i A_i^2, then the A_i."""
+    ops = np.stack(list(operator_set))
+    return np.concatenate([(ops @ ops).sum(axis=0)[None], ops])
+
+
+def _evaluate(stack: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Uncertainty sums and tangent gradients of the columns of ``psi``.
+
+    f = <S> - sum_i <A_i>^2 with S = sum_i A_i^2, and the gradient
+    2 S psi - 4 sum_i <A_i> A_i psi is projected onto the tangent space of
+    the unit sphere; its global-phase component vanishes identically
+    because f is phase invariant.
+    """
+    bra = psi.conj()
+    images = stack @ psi
+    values = np.einsum("dr,kdr->kr", bra, images).real
+    means = values[1:]
+    f = values[0] - np.einsum("kr,kr->r", means, means)
+    grad = 2.0 * images[0] - 4.0 * np.einsum("kr,kdr->dr", means, images[1:])
+    grad -= np.einsum("dr,dr->r", bra, grad).real * psi
     return f, grad
 
 
-def _minimize_single(ops, squares, psi: np.ndarray, config: SearchConfig, history=None):
-    """One projected-gradient descent run; returns (minimum, psi, converged)."""
-    f, grad = _objective_and_gradient(ops, squares, psi)
-    if history is not None:
-        history.append(f)
-    spectral_step = config.initial_step
+def _minimize_block(stack: np.ndarray, psi: np.ndarray, config: SearchConfig, history=None):
+    """Projected-gradient descent on every column of the (dim, R) block ``psi``.
+
+    Each column follows the single-start rules on its own: a Barzilai-Borwein
+    trial step capped at ``initial_step``, Armijo backtracking down to
+    ``min_step``, the gradient-tolerance stop, the stall window and
+    ``max_iterations``.  A column retires when it stops, and each iteration
+    works on the active columns only.  ``history``, if given, receives the
+    (R,) array of current values once at the start and after every
+    iteration.  Returns (minima, final block, stop reason per column).
+    """
+    f, grad = _evaluate(stack, psi)
+    minima = f.copy()
+    final = psi.copy()
+    reasons = np.full(psi.shape[1], _MAX_ITERATIONS)
+    cols = np.arange(psi.shape[1])
+    spectral = np.full(cols.size, config.initial_step)
     anchor = f
-    since_anchor = 0
-    for _ in range(config.max_iterations):
-        grad_sq = np.vdot(grad, grad).real
-        if np.sqrt(grad_sq) < config.gradient_tolerance:
-            return f, psi, True
-        step = min(spectral_step, config.initial_step)
-        accepted = None
-        while step >= config.min_step:
-            candidate = psi - step * grad
-            candidate = candidate / np.linalg.norm(candidate)
-            f_candidate = _objective(ops, squares, candidate)
-            if f_candidate <= f - config.armijo * step * grad_sq:
-                accepted = (candidate, step)
-                break
-            step *= config.step_shrink
-        if accepted is None:
-            # No descent left at floating-point resolution.
-            return f, psi, True
-        candidate, step = accepted
-        f_new, grad_new = _objective_and_gradient(ops, squares, candidate)
-        move = candidate - psi
-        curvature = np.vdot(move, grad_new - grad).real
-        if curvature > 0:
-            spectral_step = np.vdot(move, move).real / curvature
-        else:
-            spectral_step = config.initial_step
-        psi, f, grad = candidate, f_new, grad_new
+    if history is not None:
+        history.append(minima.copy())
+    for iteration in range(1, config.max_iterations + 1):
+        grad_sq = np.einsum("dr,dr->r", grad.conj(), grad).real
+        step = np.minimum(spectral, config.initial_step)
+        reason = np.where(np.sqrt(grad_sq) < config.gradient_tolerance, _GRADIENT, _ACTIVE)
+        # no descent left at floating-point resolution
+        reason[(reason == _ACTIVE) & (step < config.min_step)] = _LINE_SEARCH
+        new_psi, new_f, new_grad = psi.copy(), f.copy(), grad.copy()
+        pending = np.flatnonzero(reason == _ACTIVE)
+        while pending.size:
+            trial = psi[:, pending] - step[pending] * grad[:, pending]
+            trial /= np.linalg.norm(trial, axis=0)
+            f_trial, grad_trial = _evaluate(stack, trial)
+            ok = f_trial <= f[pending] - config.armijo * step[pending] * grad_sq[pending]
+            done = pending[ok]
+            new_psi[:, done] = trial[:, ok]
+            new_f[done] = f_trial[ok]
+            new_grad[:, done] = grad_trial[:, ok]
+            pending = pending[~ok]
+            step[pending] *= config.step_shrink
+            exhausted = step[pending] < config.min_step
+            reason[pending[exhausted]] = _LINE_SEARCH
+            pending = pending[~exhausted]
+        move = new_psi - psi
+        curvature = np.einsum("dr,dr->r", move.conj(), new_grad - grad).real
+        spectral = np.full(cols.size, config.initial_step)
+        np.divide(
+            np.einsum("dr,dr->r", move.conj(), move).real, curvature,
+            out=spectral, where=curvature > 0,
+        )
+        psi, f, grad = new_psi, new_f, new_grad
+        minima[cols] = f
         if history is not None:
-            history.append(f)
-        since_anchor += 1
-        if since_anchor >= config.stall_window:
-            if anchor - f < config.stall_decrease:
-                return f, psi, True
+            history.append(minima.copy())
+        if iteration % config.stall_window == 0:
+            reason[(reason == _ACTIVE) & (anchor - f < config.stall_decrease)] = _STALL
             anchor = f
-            since_anchor = 0
-    return f, psi, False
+        stopped = reason != _ACTIVE
+        if stopped.any():
+            final[:, cols[stopped]] = psi[:, stopped]
+            reasons[cols[stopped]] = reason[stopped]
+            keep = ~stopped
+            cols, psi, f, grad = cols[keep], psi[:, keep], f[keep], grad[:, keep]
+            spectral, anchor = spectral[keep], anchor[keep]
+            if not cols.size:
+                break
+    final[:, cols] = psi
+    return minima, final, [STOP_REASONS[r] for r in reasons]
 
 
 def _random_start(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -158,33 +203,39 @@ def minimize_sum_uncertainty(
     """Minimize the uncertainty sum of ``operator_set`` over pure states.
 
     The run is fully deterministic for a fixed config: restart r draws its
-    start from the stream seeded by (rng_seed, r), and the best restart is
-    reported together with how many restarts agreed with it.
+    start from the stream seeded by (rng_seed, r), and the best restart
+    (the first at the lowest minimum) is reported together with how many
+    restarts agreed with it.  Restarts descend together in blocks of
+    ``RESTART_BLOCK`` columns.
     """
     config = config or SearchConfig()
-    ops = list(operator_set)
-    squares = [a @ a for a in ops]
+    stack = _operator_stack(operator_set)
     dim = operator_set.dim
 
     minima = []
-    converged_flags = []
+    stops = []
     best_f = np.inf
     best_psi = None
-    for r in range(config.restarts):
-        rng = np.random.default_rng([config.rng_seed, r])
-        f, psi, converged = _minimize_single(ops, squares, _random_start(dim, rng), config)
-        minima.append(f)
-        converged_flags.append(converged)
-        if f < best_f:
-            best_f = f
-            best_psi = psi
+    for first in range(0, config.restarts, RESTART_BLOCK):
+        block = range(first, min(first + RESTART_BLOCK, config.restarts))
+        starts = np.stack(
+            [_random_start(dim, np.random.default_rng([config.rng_seed, r])) for r in block],
+            axis=1,
+        )
+        f, psi, block_stops = _minimize_block(stack, starts, config)
+        minima.extend(f.tolist())
+        stops.extend(block_stops)
+        j = int(np.argmin(f))
+        if f[j] < best_f:
+            best_f = float(f[j])
+            best_psi = psi[:, j]
 
     agreeing = sum(1 for f in minima if f - best_f < AGREEMENT_WINDOW)
     return SearchResult(
         minimum=best_f,
         argmin=PureState.normalized(best_psi).phase_normalized(),
         restart_minima=tuple(minima),
-        restart_converged=tuple(converged_flags),
+        restart_stops=tuple(stops),
         restarts_agreeing=agreeing,
         low_confidence=agreeing < CONFIDENCE_FRACTION * config.restarts,
     )

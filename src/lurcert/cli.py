@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -21,9 +22,9 @@ from .linalg import InvalidParameterError, LurcertError, Tolerances, ensure_herm
 from .lur import (
     JointOperatorSet,
     RELATION_KINDS,
-    build_joint,
     certify,
     joint_from_catalog,
+    joint_from_relations,
     white_noise_two_component_violation,
     white_noise_violation,
 )
@@ -32,6 +33,7 @@ from .spin_ops import OperatorSet, SpinQuantum, spin_subset, stokes_subset
 from .states import (
     DensityMatrix,
     bell_mixture,
+    matrix_from_rows,
     min_uncertainty_state_n3,
     read_state,
     singlet_state,
@@ -39,7 +41,7 @@ from .states import (
     write_state,
     x_decoherence_mixture,
 )
-from .uncertainty import CATALOG_KINDS, catalog_bound
+from .uncertainty import CATALOG_KINDS, NUMERICALLY_CERTIFIED, UncertaintyRelation, catalog_bound
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -88,25 +90,49 @@ def _parse_grid(spec: str) -> list[float]:
     return [v for v in values if v <= stop]
 
 
-def _load_relation_side(doc: dict, what: str) -> tuple[OperatorSet, float, str]:
+def _operators_from_doc(doc: dict, what: str) -> tuple[np.ndarray, ...]:
+    """The "operators" of a bound or operator file: a non-empty list of
+    square [re, im] matrices of one size, each Hermitian."""
+    ops = doc["operators"]
+    if not isinstance(ops, list) or not ops or not isinstance(ops[0], list) or not ops[0]:
+        raise InvalidParameterError(f'{what} "operators" must be a non-empty list of square matrices')
+    size = len(ops[0])
+    return tuple(
+        ensure_hermitian(
+            matrix_from_rows(rows, size, f"{what} operator {k}", InvalidParameterError),
+            what=f"{what} operator {k}",
+        )
+        for k, rows in enumerate(ops)
+    )
+
+
+def _load_relation_side(doc, what: str) -> UncertaintyRelation:
+    """Schema-checked bound-file side; keys other than the five read here
+    (such as the ``search`` record) are ignored."""
+    if not isinstance(doc, dict):
+        raise InvalidParameterError(f"{what} must be a JSON object")
     for key in ("label", "bound", "provenance", "operators"):
         if key not in doc:
             raise InvalidParameterError(f"{what} is missing key {key!r}")
-    ops = [_matrix_from_rows(rows, f"{what} operator {k}") for k, rows in enumerate(doc["operators"])]
-    ops = [ensure_hermitian(op, what=f"{what} operator {k}") for k, op in enumerate(ops)]
-    op_set = OperatorSet(label=str(doc["label"]), operators=tuple(ops))
-    bound = float(doc["bound"])
-    if bound < 0:
-        raise InvalidParameterError(f"{what} bound must be nonnegative")
-    return op_set, bound, str(doc["provenance"])
+    ops = _operators_from_doc(doc, what)
+    size = ops[0].shape[0]
+    dim = doc.get("dim", size)
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim != size:
+        raise InvalidParameterError(f"{what} dim {dim!r} does not match its {size}-level operators")
+    bound = doc["bound"]
+    if isinstance(bound, bool) or not isinstance(bound, (int, float)) or not _is_finite(bound):
+        raise InvalidParameterError(f"{what} bound must be a finite number, got {bound!r}")
+    # the relation itself checks bound >= 0 and the provenance label
+    return UncertaintyRelation(
+        OperatorSet(label=str(doc["label"]), operators=ops), float(bound), doc["provenance"]
+    )
 
 
-def _matrix_from_rows(rows, what: str) -> np.ndarray:
+def _is_finite(x: int | float) -> bool:
     try:
-        arr = np.array([[complex(c[0], c[1]) for c in row] for row in rows])
-    except (TypeError, IndexError, ValueError) as exc:
-        raise InvalidParameterError(f"{what} must be a matrix of [re, im] pairs") from exc
-    return arr
+        return math.isfinite(x)
+    except OverflowError:  # a JSON integer beyond the float range
+        return False
 
 
 def _matrix_to_rows(m: np.ndarray) -> list:
@@ -123,17 +149,16 @@ def _resolve_joint(relation: str, rho: DensityMatrix) -> JointOperatorSet:
             f"relation {relation!r} is neither a catalog kind {RELATION_KINDS} nor a bound file"
         )
     doc = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise InvalidParameterError("bound file must be a JSON object")
     if "side_a" in doc or "side_b" in doc:
         if not ("side_a" in doc and "side_b" in doc):
             raise InvalidParameterError("asymmetric bound file needs both side_a and side_b")
-        set_a, u_a, prov_a = _load_relation_side(doc["side_a"], "side_a")
-        set_b, u_b, prov_b = _load_relation_side(doc["side_b"], "side_b")
+        rel_a = _load_relation_side(doc["side_a"], "side_a")
+        rel_b = _load_relation_side(doc["side_b"], "side_b")
     else:
-        set_a, u_a, prov_a = _load_relation_side(doc, "bound file")
-        set_b, u_b, prov_b = set_a, u_a, prov_a
-    return build_joint(
-        set_a, u_a, set_b, u_b, provenance=(prov_a, prov_b), label=str(path)
-    )
+        rel_a = rel_b = _load_relation_side(doc, "bound file")
+    return joint_from_relations(rel_a, rel_b, label=str(path))
 
 
 def cmd_certify(args) -> int:
@@ -237,9 +262,9 @@ def _parse_operator_spec(spec: str, two_l: int | None) -> OperatorSet:
     doc = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(doc, dict) or "operators" not in doc:
         raise InvalidParameterError('operator file must be an object with an "operators" key')
-    ops = [_matrix_from_rows(rows, f"operator {k}") for k, rows in enumerate(doc["operators"])]
-    ops = [ensure_hermitian(op, what=f"operator {k}") for k, op in enumerate(ops)]
-    return OperatorSet(label=str(doc.get("label", path.name)), operators=tuple(ops))
+    return OperatorSet(
+        label=str(doc.get("label", path.name)), operators=_operators_from_doc(doc, "operator file")
+    )
 
 
 def cmd_search_bound(args) -> int:
@@ -252,6 +277,8 @@ def cmd_search_bound(args) -> int:
         f"restarts: {config.restarts}  agreeing: {result.restarts_agreeing}"
         f"  converged: {result.converged_count}"
     )
+    stops = result.stop_counts
+    print(f"stops: {' '.join(f'{reason}={count}' for reason, count in stops.items())}")
     print(f"confidence: {'LOW (few restarts agree)' if result.low_confidence else 'ok'}")
     if not result.any_converged:
         print("warning: no restart converged; minimum is the best value found")
@@ -265,8 +292,17 @@ def cmd_search_bound(args) -> int:
             "label": op_set.label,
             "dim": op_set.dim,
             "bound": result.minimum,
-            "provenance": "numerically-certified",
+            "provenance": NUMERICALLY_CERTIFIED,
             "operators": [_matrix_to_rows(op) for op in op_set],
+            "lurcert_version": __version__,
+            "search": {
+                "seed": config.rng_seed,
+                "restarts": config.restarts,
+                "agreeing": result.restarts_agreeing,
+                "converged": result.converged_count,
+                "low_confidence": result.low_confidence,
+                "stops": stops,
+            },
         }
         Path(args.emit_bound).write_text(json.dumps(doc) + "\n", encoding="utf-8")
         print(f"wrote bound file to {args.emit_bound}")

@@ -82,13 +82,16 @@ def build_joint(
     )
 
 
-def joint_from_relations(rel_a: UncertaintyRelation, rel_b: UncertaintyRelation) -> JointOperatorSet:
+def joint_from_relations(
+    rel_a: UncertaintyRelation, rel_b: UncertaintyRelation, label: str | None = None
+) -> JointOperatorSet:
     return build_joint(
         rel_a.operator_set,
         rel_a.bound,
         rel_b.operator_set,
         rel_b.bound,
         provenance=(rel_a.provenance, rel_b.provenance),
+        label=label,
     )
 
 

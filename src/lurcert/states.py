@@ -391,23 +391,34 @@ def state_from_json(text: str, tolerances: Tolerances | None = None) -> DensityM
         or not all(isinstance(d, int) and d >= 1 for d in dims)
     ):
         raise StateFormatError('"dims" must be a list of one or two positive integers')
-    rows = doc["matrix"]
-    total = int(np.prod(dims))
-    if not isinstance(rows, list) or len(rows) != total:
-        raise StateFormatError(f'"matrix" must be a list of {total} rows')
-    matrix = np.zeros((total, total), dtype=complex)
+    matrix = matrix_from_rows(doc["matrix"], int(np.prod(dims)), '"matrix"', StateFormatError)
+    return DensityMatrix(matrix, tuple(dims), tolerances)
+
+
+def matrix_from_rows(rows, size: int, what: str, error: type[Exception]) -> np.ndarray:
+    """The size x size complex matrix of JSON ``rows`` of [re, im] pairs.
+
+    The one matrix codec of the state, bound and operator files; any
+    departure from the schema raises ``error`` naming ``what``.
+    """
+    if not isinstance(rows, list) or len(rows) != size:
+        raise error(f"{what} must be a list of {size} rows")
+    matrix = np.zeros((size, size), dtype=complex)
     for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != total:
-            raise StateFormatError(f"matrix row {i} must have {total} entries")
+        if not isinstance(row, list) or len(row) != size:
+            raise error(f"{what} row {i} must have {size} entries")
         for j, cell in enumerate(row):
             if (
                 not isinstance(cell, list)
                 or len(cell) != 2
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in cell)
             ):
-                raise StateFormatError(f"matrix entry ({i},{j}) must be a [re, im] pair")
-            matrix[i, j] = complex(cell[0], cell[1])
-    return DensityMatrix(matrix, tuple(dims), tolerances)
+                raise error(f"{what} entry ({i},{j}) must be a [re, im] pair")
+            try:
+                matrix[i, j] = complex(cell[0], cell[1])
+            except OverflowError as exc:
+                raise error(f"{what} entry ({i},{j}) is out of floating-point range") from exc
+    return matrix
 
 
 def write_state(state: DensityMatrix, path) -> None:

@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 from lurcert.bound_search import (
+    RESTART_BLOCK,
+    STOP_REASONS,
     SearchConfig,
-    _minimize_single,
+    _minimize_block,
+    _operator_stack,
+    _random_start,
     brute_force_minimum,
     certify_bound,
     minimize_sum_uncertainty,
@@ -65,16 +69,41 @@ def test_search_is_deterministic():
 
 def test_descent_is_monotone():
     op_set = spin_subset(SpinQuantum(2), "xy")
-    ops = list(op_set)
-    squares = [a @ a for a in ops]
-    rng = np.random.default_rng([0, 3])
-    psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    psi /= np.linalg.norm(psi)
+    config = SearchConfig()
+    starts = np.stack(
+        [_random_start(3, np.random.default_rng([0, r])) for r in range(config.restarts)], axis=1
+    )
     history = []
-    _minimize_single(ops, squares, psi, SearchConfig(), history=history)
-    diffs = np.diff(history)
-    assert (diffs <= 0).all()
+    _minimize_block(_operator_stack(op_set), starts, config, history=history)
+    values = np.array(history)
+    assert values.shape[1] == config.restarts
+    assert (np.diff(values, axis=0) <= 0).all()
     assert len(history) > 2
+
+
+def test_restarts_cross_block_boundary():
+    op_set = spin_subset(SpinQuantum(3), "xy")
+    short = minimize_sum_uncertainty(op_set, SearchConfig(restarts=16))
+    long = minimize_sum_uncertainty(op_set, SearchConfig(restarts=RESTART_BLOCK + 16))
+    assert len(long.restart_minima) == RESTART_BLOCK + 16
+    assert all(type(f) is float for f in long.restart_minima)
+    first = np.array(long.restart_minima[:16])
+    assert (np.abs(first - short.restart_minima) <= 1e-12 * np.abs(first)).all()
+    assert long.restart_converged[:16] == short.restart_converged
+    assert long.minimum <= short.minimum
+    # the second block continues the streams at (rng_seed, 64), not at (rng_seed, 0)
+    second = range(RESTART_BLOCK, RESTART_BLOCK + 16)
+    tail = np.stack([_random_start(op_set.dim, np.random.default_rng([0, r])) for r in second], axis=1)
+    minima, _, _ = _minimize_block(_operator_stack(op_set), tail, SearchConfig())
+    assert minima.tolist() == list(long.restart_minima[RESTART_BLOCK:])
+
+
+def test_stop_reasons_at_iteration_cap():
+    capped = SearchConfig(restarts=8, max_iterations=1)
+    res = minimize_sum_uncertainty(spin_subset(SpinQuantum(2), "xy"), capped)
+    assert set(res.restart_stops) == {"max-iterations"}
+    assert res.converged_count == 0
+    assert not res.any_converged
 
 
 def test_rotation_invariance_of_minimum():
@@ -92,6 +121,9 @@ def test_restart_bookkeeping_healthy_run():
     assert res.restarts_agreeing == FAST.restarts
     assert res.converged_count == FAST.restarts
     assert res.any_converged
+    assert tuple(res.stop_counts) == STOP_REASONS
+    assert res.stop_counts["max-iterations"] == 0
+    assert sum(res.stop_counts.values()) == FAST.restarts
     assert not res.low_confidence
 
 

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import lurcert
 from lurcert import cli, states
+from lurcert.bound_search import SearchConfig
 from lurcert.lur import certify, joint_from_catalog
 from lurcert.spin_ops import SpinQuantum
 from lurcert.states import (
@@ -257,6 +259,124 @@ def test_search_bound_emits_state_and_bound(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 3
     assert "numerically-certified" in out
+
+
+def stop_counts(out):
+    line = next(l for l in out.splitlines() if l.startswith("stops:"))
+    return {k: int(v) for k, v in (item.split("=") for item in line.split()[1:])}
+
+
+def test_search_bound_reports_stop_reasons(capsys, monkeypatch):
+    assert run("search-bound", "--set", "spin:xy", "--two-l", "2", "--restarts", "16") == 0
+    counts = stop_counts(capsys.readouterr().out)
+    assert list(counts) == ["gradient", "line-search", "stall", "max-iterations"]
+    assert counts["max-iterations"] == 0
+    assert sum(counts.values()) == 16
+    capped = lambda **kw: SearchConfig(max_iterations=1, **kw)
+    monkeypatch.setattr(cli, "SearchConfig", capped)
+    assert run("search-bound", "--set", "spin:xy", "--two-l", "2", "--restarts", "8") == 0
+    out = capsys.readouterr().out
+    assert stop_counts(out) == {"gradient": 0, "line-search": 0, "stall": 0, "max-iterations": 8}
+    assert "converged: 0" in out
+    assert "warning: no restart converged" in out
+
+
+def test_emitted_bound_file_is_auditable(tmp_path, capsys):
+    bound_path = tmp_path / "bound.json"
+    assert run(
+        "search-bound", "--set", "spin:xy", "--two-l", "2", "--restarts", "16", "--seed", "5",
+        "--emit-bound", str(bound_path),
+    ) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(bound_path.read_text())
+    assert doc["lurcert_version"] == lurcert.__version__
+    search = doc["search"]
+    assert (search["seed"], search["restarts"]) == (5, 16)
+    assert search["stops"] == stop_counts(out)
+    assert f"agreeing: {search['agreeing']}  converged: {search['converged']}" in out
+    assert search["low_confidence"] is False
+
+    # the audit keys change nothing: the file certifies like one without them
+    bare_path = tmp_path / "bare.json"
+    bare = {k: doc[k] for k in ("label", "dim", "bound", "provenance", "operators")}
+    bare_path.write_text(json.dumps(bare))
+    singlet_path = tmp_path / "singlet3.json"
+    run("state-gen", "--kind", "singlet", "--two-l", "2", "--out", str(singlet_path))
+    certs = []
+    for path in (bound_path, bare_path):
+        cert_path = tmp_path / f"cert-{path.stem}.json"
+        assert run("certify", "--state", str(singlet_path), "--relation", str(path),
+                   "--json", str(cert_path)) == 3
+        certs.append(json.loads(cert_path.read_text()))
+    capsys.readouterr()
+    assert certs[0]["total"] == certs[1]["total"]
+    assert certs[0]["verdict"] == certs[1]["verdict"]
+
+
+GOOD_SIDE = {
+    "label": "xy",
+    "dim": 2,
+    "bound": 0.25,
+    "provenance": "analytic",
+    "operators": [
+        [[[0, 0], [0.5, 0]], [[0.5, 0], [0, 0]]],
+        [[[0, 0], [0, -0.5]], [[0, 0.5], [0, 0]]],
+    ],
+}
+
+
+def malformed(**changes):
+    doc = {**GOOD_SIDE, **changes}
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+MALFORMED_BOUND_FILES = {
+    "bound-string": malformed(bound="abc"),
+    "bound-bool": malformed(bound=True),
+    "bound-nan": malformed(bound=float("nan")),
+    "bound-infinite": malformed(bound=float("inf")),
+    "bound-huge-int": malformed(bound=10**400),
+    "bound-negative": malformed(bound=-0.25),
+    "operators-number": malformed(operators=5),
+    "operators-empty": malformed(operators=[]),
+    "operators-empty-matrix": malformed(operators=[[]]),
+    "operators-not-square": malformed(operators=[[[[0, 0], [1, 0]]]]),
+    "operators-mixed-sizes": malformed(operators=[GOOD_SIDE["operators"][0], [[[1, 0]]]]),
+    "operators-bad-cell": malformed(operators=[[[[0, 0], [1, 0, 0]], [[1, 0], [0, 0]]]]),
+    "operators-bool-cell": malformed(operators=[[[[True, 0], [0, 0]], [[0, 0], [0, 0]]]]),
+    "provenance-made-up": malformed(provenance="made-up"),
+    "provenance-list": malformed(provenance=["analytic"]),
+    "dim-mismatch": malformed(dim=3),
+    "dim-bool": malformed(dim=True),
+    "missing-bound": malformed(bound=None),
+    "not-an-object": [GOOD_SIDE],
+    "side-not-an-object": {"side_a": GOOD_SIDE, "side_b": 7},
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_BOUND_FILES))
+def test_malformed_bound_file_is_a_structured_error(name, tmp_path, capsys):
+    bound_path = tmp_path / "bound.json"
+    bound_path.write_text(json.dumps(MALFORMED_BOUND_FILES[name]))
+    state = tmp_path / "singlet.json"
+    run("state-gen", "--kind", "singlet", "--two-l", "1", "--out", str(state))
+    capsys.readouterr()
+    code = run("certify", "--state", str(state), "--relation", str(bound_path))
+    captured = capsys.readouterr()
+    assert code == 2
+    errors = [line for line in captured.err.splitlines() if "error[" in line]
+    assert len(errors) == 1 and errors[0].startswith("error[invalid-parameter]:"), captured.err
+    assert "Traceback" not in captured.err
+    assert "ENTANGLED" not in captured.out
+
+
+def test_wellformed_bound_file_certifies(tmp_path, capsys):
+    bound_path = tmp_path / "bound.json"
+    bound_path.write_text(json.dumps(GOOD_SIDE))
+    state = tmp_path / "singlet.json"
+    run("state-gen", "--kind", "singlet", "--two-l", "1", "--out", str(state))
+    assert run("certify", "--state", str(state), "--relation", str(bound_path)) == 3
+    assert "bounds analytic, analytic" in capsys.readouterr().out
 
 
 def test_search_bound_operator_file(tmp_path, capsys):

@@ -327,6 +327,8 @@ def test_json_schema_errors():
         state_from_json('{"dims": [0], "matrix": []}')
     with pytest.raises(StateFormatError):
         state_from_json('{"dims": [1], "matrix": [[3]]}')
+    with pytest.raises(StateFormatError, match="out of floating-point range"):
+        state_from_json('{"dims": [1], "matrix": [[[1%s, 0]]]}' % ("0" * 400))
     with pytest.raises(StateFormatError, match="not valid JSON"):
         state_from_json("{nope")
 
