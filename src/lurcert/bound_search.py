@@ -27,6 +27,20 @@ CONFIDENCE_FRACTION = 0.25
 # arrays stay O(dim * RESTART_BLOCK) whatever the restart count.
 RESTART_BLOCK = 64
 
+# Descent rules of every restart.  The line search backtracks by halving
+# from at most INITIAL_STEP; the starting trial is the spectral
+# (Barzilai-Borwein) step estimated from the previous move, which keeps plain
+# gradient descent fast on the degenerate minimizer manifolds these
+# objectives have.
+MAX_ITERATIONS = 10_000
+GRADIENT_TOLERANCE = 1e-10
+INITIAL_STEP = 0.5
+STEP_SHRINK = 0.5
+MIN_STEP = 1e-18
+ARMIJO = 1e-4
+STALL_WINDOW = 50
+STALL_DECREASE = 1e-14
+
 STOP_REASONS = ("gradient", "line-search", "stall", "max-iterations")
 _GRADIENT, _LINE_SEARCH, _STALL, _MAX_ITERATIONS = range(len(STOP_REASONS))
 _ACTIVE = -1
@@ -34,36 +48,14 @@ _ACTIVE = -1
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Deterministic search configuration; a fixed seed fixes the run.
-
-    The line search backtracks by halving from at most ``initial_step``;
-    the starting trial is the spectral (Barzilai-Borwein) step estimated
-    from the previous move, which keeps plain gradient descent fast on the
-    degenerate minimizer manifolds these objectives have.
-    """
+    """Deterministic search configuration; a fixed seed fixes the run."""
 
     restarts: int = 64
-    max_iterations: int = 10_000
-    gradient_tolerance: float = 1e-10
-    initial_step: float = 0.5
-    step_shrink: float = 0.5
-    min_step: float = 1e-18
-    armijo: float = 1e-4
-    stall_window: int = 50
-    stall_decrease: float = 1e-14
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("restarts", "max_iterations", "stall_window"):
-            if getattr(self, name) < 1:
-                raise InvalidParameterError(f"{name} must be a positive integer")
-        for name in ("gradient_tolerance", "initial_step", "min_step", "stall_decrease"):
-            if not getattr(self, name) > 0:
-                raise InvalidParameterError(f"{name} must be positive")
-        if not 0 < self.step_shrink < 1:
-            raise InvalidParameterError("step_shrink must lie in (0, 1)")
-        if not 0 < self.armijo < 1:
-            raise InvalidParameterError("armijo must lie in (0, 1)")
+        if self.restarts < 1:
+            raise InvalidParameterError("restarts must be a positive integer")
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +63,7 @@ class SearchResult:
     """Best minimum over restarts with per-restart bookkeeping.
 
     ``restart_stops`` names why each restart stopped: the gradient fell
-    below tolerance, the line search found no descent above ``min_step``,
+    below tolerance, the line search found no descent above ``MIN_STEP``,
     the stall window saw too little decrease, or the iteration cap hit.
     """
 
@@ -123,13 +115,13 @@ def _evaluate(stack: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return f, grad
 
 
-def _minimize_block(stack: np.ndarray, psi: np.ndarray, config: SearchConfig, history=None):
+def _minimize_block(stack: np.ndarray, psi: np.ndarray, history=None):
     """Projected-gradient descent on every column of the (dim, R) block ``psi``.
 
     Each column follows the single-start rules on its own: a Barzilai-Borwein
-    trial step capped at ``initial_step``, Armijo backtracking down to
-    ``min_step``, the gradient-tolerance stop, the stall window and
-    ``max_iterations``.  A column retires when it stops, and each iteration
+    trial step capped at ``INITIAL_STEP``, Armijo backtracking down to
+    ``MIN_STEP``, the gradient-tolerance stop, the stall window and
+    ``MAX_ITERATIONS``.  A column retires when it stops, and each iteration
     works on the active columns only.  ``history``, if given, receives the
     (R,) array of current values once at the start and after every
     iteration.  Returns (minima, final block, stop reason per column).
@@ -139,35 +131,35 @@ def _minimize_block(stack: np.ndarray, psi: np.ndarray, config: SearchConfig, hi
     final = psi.copy()
     reasons = np.full(psi.shape[1], _MAX_ITERATIONS)
     cols = np.arange(psi.shape[1])
-    spectral = np.full(cols.size, config.initial_step)
+    spectral = np.full(cols.size, INITIAL_STEP)
     anchor = f
     if history is not None:
         history.append(minima.copy())
-    for iteration in range(1, config.max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         grad_sq = np.einsum("dr,dr->r", grad.conj(), grad).real
-        step = np.minimum(spectral, config.initial_step)
-        reason = np.where(np.sqrt(grad_sq) < config.gradient_tolerance, _GRADIENT, _ACTIVE)
+        step = np.minimum(spectral, INITIAL_STEP)
+        reason = np.where(np.sqrt(grad_sq) < GRADIENT_TOLERANCE, _GRADIENT, _ACTIVE)
         # no descent left at floating-point resolution
-        reason[(reason == _ACTIVE) & (step < config.min_step)] = _LINE_SEARCH
+        reason[(reason == _ACTIVE) & (step < MIN_STEP)] = _LINE_SEARCH
         new_psi, new_f, new_grad = psi.copy(), f.copy(), grad.copy()
         pending = np.flatnonzero(reason == _ACTIVE)
         while pending.size:
             trial = psi[:, pending] - step[pending] * grad[:, pending]
             trial /= np.linalg.norm(trial, axis=0)
             f_trial, grad_trial = _evaluate(stack, trial)
-            ok = f_trial <= f[pending] - config.armijo * step[pending] * grad_sq[pending]
+            ok = f_trial <= f[pending] - ARMIJO * step[pending] * grad_sq[pending]
             done = pending[ok]
             new_psi[:, done] = trial[:, ok]
             new_f[done] = f_trial[ok]
             new_grad[:, done] = grad_trial[:, ok]
             pending = pending[~ok]
-            step[pending] *= config.step_shrink
-            exhausted = step[pending] < config.min_step
+            step[pending] *= STEP_SHRINK
+            exhausted = step[pending] < MIN_STEP
             reason[pending[exhausted]] = _LINE_SEARCH
             pending = pending[~exhausted]
         move = new_psi - psi
         curvature = np.einsum("dr,dr->r", move.conj(), new_grad - grad).real
-        spectral = np.full(cols.size, config.initial_step)
+        spectral = np.full(cols.size, INITIAL_STEP)
         np.divide(
             np.einsum("dr,dr->r", move.conj(), move).real, curvature,
             out=spectral, where=curvature > 0,
@@ -176,8 +168,8 @@ def _minimize_block(stack: np.ndarray, psi: np.ndarray, config: SearchConfig, hi
         minima[cols] = f
         if history is not None:
             history.append(minima.copy())
-        if iteration % config.stall_window == 0:
-            reason[(reason == _ACTIVE) & (anchor - f < config.stall_decrease)] = _STALL
+        if iteration % STALL_WINDOW == 0:
+            reason[(reason == _ACTIVE) & (anchor - f < STALL_DECREASE)] = _STALL
             anchor = f
         stopped = reason != _ACTIVE
         if stopped.any():
@@ -222,7 +214,7 @@ def minimize_sum_uncertainty(
             [_random_start(dim, np.random.default_rng([config.rng_seed, r])) for r in block],
             axis=1,
         )
-        f, psi, block_stops = _minimize_block(stack, starts, config)
+        f, psi, block_stops = _minimize_block(stack, starts)
         minima.extend(f.tolist())
         stops.extend(block_stops)
         j = int(np.argmin(f))

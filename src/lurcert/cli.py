@@ -23,10 +23,9 @@ from .lur import (
     JointOperatorSet,
     RELATION_KINDS,
     certify,
+    closed_form_violation,
     joint_from_catalog,
     joint_from_relations,
-    white_noise_two_component_violation,
-    white_noise_violation,
 )
 from .bound_search import SearchConfig, minimize_sum_uncertainty
 from .spin_ops import OperatorSet, SpinQuantum, spin_subset, stokes_subset
@@ -181,33 +180,13 @@ def cmd_certify(args) -> int:
     return EXIT_ENTANGLED if cert.entangled else EXIT_OK
 
 
-def _closed_form(kind: str, relation: str, spin: SpinQuantum, value: float) -> float | None:
+def _family_member(kind: str, spin: SpinQuantum | None, value: float):
+    """The family constructor and its parameters at grid value ``value``."""
     if kind == "white":
-        if relation in ("l3", "s3"):
-            return white_noise_violation(spin, value)
-        if relation in ("l2n3", "s2n3"):
-            return white_noise_two_component_violation(value)
-    elif kind == "xdecoherence":
-        if relation in ("l3", "s3"):
-            return 1.0 - 4.0 * value / 3.0
-        if relation in ("l2n3", "s2n3"):
-            return 1.0 - 32.0 * value / 21.0
-    elif kind == "bell":
-        if relation in ("l3", "s3"):
-            return 2.0 * value - 1.0
-        if relation in ("l2n2", "s2n2"):
-            # sweep keeps p_3 = 0, so C_S2 = 2 p_S - 1
-            return 2.0 * value - 1.0
-    return None
-
-
-def _family_state(kind: str, spin: SpinQuantum | None, value: float) -> DensityMatrix:
-    tolerances = Tolerances.from_env()
-    if kind == "white":
-        return white_noise_mixture(spin, value, tolerances)
+        return white_noise_mixture, (spin, value)
     if kind == "xdecoherence":
-        return x_decoherence_mixture(value, tolerances)
-    return bell_mixture(value, 1.0 - value, 0.0, 0.0, tolerances)
+        return x_decoherence_mixture, (value,)
+    return bell_mixture, (value, 1.0 - value, 0.0, 0.0)
 
 
 def cmd_family(args) -> int:
@@ -223,14 +202,16 @@ def cmd_family(args) -> int:
             raise InvalidParameterError(
                 f"family {args.kind} is fixed at two_l={expected}, got --two-l {args.two_l}"
             )
+    tolerances = Tolerances.from_env()
     lines = ["parameter,total,local_limit,C,closed_form_C,abs_difference"]
     joint = None
     for value in grid:
-        rho = _family_state(args.kind, spin, value)
+        constructor, params = _family_member(args.kind, spin, value)
+        rho = constructor(*params, tolerances)
         if joint is None:
             joint = joint_from_catalog(args.relation, rho.dim_a, rho.dim_b)
         cert = certify(rho, joint)
-        closed = _closed_form(args.kind, args.relation, spin, value)
+        closed = closed_form_violation(args.kind, args.relation, params)
         if closed is None:
             closed_s, diff_s = "", ""
         else:

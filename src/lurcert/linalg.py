@@ -38,12 +38,11 @@ class Tolerances:
     """Validation tolerances, centralized so there is a single knob.
 
     ``hermiticity``, ``trace_deviation`` and ``positivity_floor`` gate state
-    and operator validation; ``eigen_residual`` is the accuracy contract of
-    the eigensolver.  Certified uncertainty bounds never depend on these.
+    and operator validation.  Certified uncertainty bounds never depend on
+    these.
     """
 
     hermiticity: float = 1e-9
-    eigen_residual: float = 1e-8
     positivity_floor: float = -1e-9
     trace_deviation: float = 1e-9
 
@@ -78,33 +77,6 @@ def as_square_matrix(data) -> np.ndarray:
     return m
 
 
-def identity(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex)
-
-
-def multiply(a, b) -> np.ndarray:
-    """Matrix product of two square matrices of equal dimension."""
-    a = as_square_matrix(a)
-    b = as_square_matrix(b)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"cannot multiply {a.shape[0]}x{a.shape[0]} by {b.shape[0]}x{b.shape[0]}")
-    return a @ b
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; entry ((i*db+k),(j*db+l)) = a[i,j]*b[k,l]."""
-    return np.kron(as_square_matrix(a), as_square_matrix(b))
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_square_matrix(a).conj().T
-
-
-def trace(a) -> complex:
-    return complex(np.trace(as_square_matrix(a)))
-
-
 def hermiticity_deviation(a) -> float:
     """Max entrywise deviation of ``a`` from its conjugate transpose."""
     a = as_square_matrix(a)
@@ -120,20 +92,3 @@ def ensure_hermitian(a, tol: float | None = None, what: str = "matrix") -> np.nd
             f"{what} deviates from Hermiticity by {dev:.3e} (tolerance {tol:.1e})"
         )
     return a
-
-
-def hermitian_eigen(a, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ascending real eigenvalues and the orthonormal eigenvectors as
-    columns.  Ordering inside a degenerate eigenvalue cluster is
-    unspecified; callers must not depend on it.
-    """
-    a = ensure_hermitian(a, tol)
-    return np.linalg.eigh(a)
-
-
-def unitary_from_generator(h, angle: float = 1.0) -> np.ndarray:
-    """exp(i*angle*h) for Hermitian ``h``, built from its eigendecomposition."""
-    w, v = hermitian_eigen(h)
-    return (v * np.exp(1j * angle * w)) @ v.conj().T

@@ -231,6 +231,40 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
+def closed_form_violation(kind: str, relation: str, params: tuple) -> float | None:
+    """The paper's closed-form relative violation C of a family member, or
+    None for a (kind, relation) pair without one.
+
+    ``params`` are the family constructor's arguments: ``(spin, p_w)`` for
+    ``white``, ``(p_d,)`` for ``xdecoherence`` and ``(p_s, p_1, p_2, p_3)``
+    for ``bell``.
+    """
+    three = relation in ("l3", "s3")
+    if kind == "white":
+        spin, p_w = params
+        p_w = _check_fraction(p_w, "p_w")
+        if three:
+            return 1.0 - p_w * (spin.dim + 1) / 2.0
+        if relation in ("l2n3", "s2n3") and spin.dim == 3:
+            return 1.0 - 64.0 * p_w / 21.0
+    elif kind == "xdecoherence":
+        (p_d,) = params
+        p_d = _check_fraction(p_d, "p_d")
+        if three:
+            return 1.0 - 4.0 * p_d / 3.0
+        if relation in ("l2n3", "s2n3"):
+            return 1.0 - 32.0 * p_d / 21.0
+    elif kind == "bell":
+        p_s, _, _, p_3 = _check_probabilities(params, what="Bell weights")
+        if three:
+            return 2 * p_s - 1
+        if relation in ("l2n2", "s2n2"):
+            return 2 * p_s - 1 - 2 * p_3
+    else:
+        raise InvalidParameterError(f"unknown family kind {kind!r}")
+    return None
+
+
 @dataclass(frozen=True)
 class BellMixtureAnalysis:
     """Relative violations and the concurrence formula for a Bell mixture.
@@ -248,10 +282,10 @@ class BellMixtureAnalysis:
 def bell_mixture_analysis(p_s, p_1, p_2, p_3) -> BellMixtureAnalysis:
     """Closed-form violations for the Bell mixture, cross-checked against
     direct certification of the constructed state."""
-    p_s, p_1, p_2, p_3 = _check_probabilities((p_s, p_1, p_2, p_3), what="Bell weights")
-    c_s3 = 2 * p_s - 1
-    c_s2 = 2 * p_s - 1 - 2 * p_3
-    rho = bell_mixture(p_s, p_1, p_2, p_3)
+    weights = (p_s, p_1, p_2, p_3)
+    c_s3 = closed_form_violation("bell", "s3", weights)
+    c_s2 = closed_form_violation("bell", "s2n2", weights)
+    rho = bell_mixture(*weights)
     measured3 = certify(rho, joint_from_catalog("s3", 2, 2)).relative_violation
     measured2 = certify(rho, joint_from_catalog("s2n2", 2, 2)).relative_violation
     if abs(measured3 - c_s3) > _CROSS_CHECK_TOL or abs(measured2 - c_s2) > _CROSS_CHECK_TOL:
@@ -259,9 +293,7 @@ def bell_mixture_analysis(p_s, p_1, p_2, p_3) -> BellMixtureAnalysis:
             f"Bell-mixture closed forms disagree with direct certification: "
             f"{measured3:.17g} vs {c_s3:.17g}, {measured2:.17g} vs {c_s2:.17g}"
         )
-    return BellMixtureAnalysis(
-        c_s3=c_s3, c_s2=c_s2, concurrence_formula=max(0.0, 2 * p_s - 1)
-    )
+    return BellMixtureAnalysis(c_s3=c_s3, c_s2=c_s2, concurrence_formula=max(0.0, c_s3))
 
 
 @dataclass(frozen=True)
@@ -321,20 +353,6 @@ def stokes_visibilities(rho: DensityMatrix) -> VisibilityRecord:
     return VisibilityRecord(*values)
 
 
-def white_noise_violation(spin: SpinQuantum, p_w: float) -> float:
-    """Closed-form three-component violation for the white-noise family:
-    C = 1 - p_W (N+1)/2, identical in the spin and Stokes normalizations."""
-    p_w = _check_fraction(p_w, "p_w")
-    return 1.0 - p_w * (spin.dim + 1) / 2.0
-
-
-def white_noise_two_component_violation(p_w: float) -> float:
-    """Closed-form two-component violation for white noise on a 3x3 pair:
-    C = 1 - (64/21) p_W."""
-    p_w = _check_fraction(p_w, "p_w")
-    return 1.0 - 64.0 * p_w / 21.0
-
-
 @dataclass(frozen=True)
 class DecoherenceAnalysis:
     """Relative violations for the spin-1 pair decohered in the L_x basis."""
@@ -346,9 +364,8 @@ class DecoherenceAnalysis:
 def decoherence_analysis(p_d) -> DecoherenceAnalysis:
     """Closed forms C_L3 = 1 - (4/3) p_D and C_L2 = 1 - (32/21) p_D,
     cross-checked against direct certification of the constructed state."""
-    p_d = _check_fraction(p_d, "p_d")
-    c_l3 = 1.0 - 4.0 * p_d / 3.0
-    c_l2 = 1.0 - 32.0 * p_d / 21.0
+    c_l3 = closed_form_violation("xdecoherence", "l3", (p_d,))
+    c_l2 = closed_form_violation("xdecoherence", "l2n3", (p_d,))
     rho = x_decoherence_mixture(p_d)
     measured3 = certify(rho, joint_from_catalog("l3", 3, 3)).relative_violation
     measured2 = certify(rho, joint_from_catalog("l2n3", 3, 3)).relative_violation

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -71,9 +72,9 @@ class DensityMatrix:
         dims = tuple(int(d) for d in dims)
         if len(dims) not in (1, 2) or any(d < 1 for d in dims):
             raise DimensionMismatchError(f"dims must be (d,) or (d_a, d_b) of positives, got {dims}")
-        if int(np.prod(dims)) != m.shape[0]:
+        if math.prod(dims) != m.shape[0]:
             raise DimensionMismatchError(
-                f"dims {dims} imply dimension {int(np.prod(dims))}, matrix has {m.shape[0]}"
+                f"dims {dims} imply dimension {math.prod(dims)}, matrix has {m.shape[0]}"
             )
 
         dev = linalg.hermiticity_deviation(m)
@@ -284,7 +285,7 @@ def x_basis_kets() -> list[np.ndarray]:
     """L_x eigenvectors for l = 1 ordered by eigenvalue -1, 0, +1, each with
     its first non-negligible component made real positive."""
     lx = spin_components(SpinQuantum(2)).operators[0]
-    _, vecs = linalg.hermitian_eigen(lx)
+    _, vecs = np.linalg.eigh(lx)
     kets = []
     for k in range(3):
         v = vecs[:, k]
@@ -366,12 +367,14 @@ def random_product_state(
 #
 # Schema: {"dims": [dA] or [dA, dB], "matrix": [[[re, im], ...], ...]}
 # Full matrices, reals with 17 significant digits (exact double round trip).
+# A negative zero is written as 0, which JSON reads back as +0.0, so the
+# text and the digest of a state survive a write/read round trip.
 
 
 def state_to_json(state: DensityMatrix) -> str:
     rows = []
     for row in state.matrix:
-        cells = ",".join(f"[{z.real:.17g},{z.imag:.17g}]" for z in row)
+        cells = ",".join(f"[{z.real + 0.0:.17g},{z.imag + 0.0:.17g}]" for z in row)
         rows.append(f"[{cells}]")
     dims = ",".join(str(d) for d in state.dims)
     return f'{{"dims":[{dims}],"matrix":[{",".join(rows)}]}}'
@@ -391,7 +394,7 @@ def state_from_json(text: str, tolerances: Tolerances | None = None) -> DensityM
         or not all(isinstance(d, int) and d >= 1 for d in dims)
     ):
         raise StateFormatError('"dims" must be a list of one or two positive integers')
-    matrix = matrix_from_rows(doc["matrix"], int(np.prod(dims)), '"matrix"', StateFormatError)
+    matrix = matrix_from_rows(doc["matrix"], math.prod(dims), '"matrix"', StateFormatError)
     return DensityMatrix(matrix, tuple(dims), tolerances)
 
 
@@ -399,14 +402,17 @@ def matrix_from_rows(rows, size: int, what: str, error: type[Exception]) -> np.n
     """The size x size complex matrix of JSON ``rows`` of [re, im] pairs.
 
     The one matrix codec of the state, bound and operator files; any
-    departure from the schema raises ``error`` naming ``what``.
+    departure from the schema raises ``error`` naming ``what``.  Every row
+    is checked before the matrix is allocated, so memory follows the cells
+    actually present, whatever ``size`` claims.
     """
     if not isinstance(rows, list) or len(rows) != size:
         raise error(f"{what} must be a list of {size} rows")
-    matrix = np.zeros((size, size), dtype=complex)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != size:
             raise error(f"{what} row {i} must have {size} entries")
+    matrix = np.zeros((size, size), dtype=complex)
+    for i, row in enumerate(rows):
         for j, cell in enumerate(row):
             if (
                 not isinstance(cell, list)

@@ -1,15 +1,18 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import lurcert
-from lurcert import cli, states
-from lurcert.bound_search import SearchConfig
+from lurcert import bound_search, cli, states
 from lurcert.lur import certify, joint_from_catalog
 from lurcert.spin_ops import SpinQuantum
+from lurcert.linalg import DimensionMismatchError
 from lurcert.states import (
+    DensityMatrix,
     bell_mixture,
+    maximally_mixed,
     min_uncertainty_state_n3,
     read_state,
     singlet_state,
@@ -112,6 +115,17 @@ def test_state_gen_singlet_round_trip(tmp_path):
     run("state-gen", "--kind", "singlet", "--two-l", "2", "--out", str(state))
     rho = read_state(state)
     assert np.array_equal(rho.matrix, singlet_state(SpinQuantum(2)).matrix)
+
+
+def test_state_gen_singlet_certifies_with_the_library_digest(tmp_path):
+    for two_l in (1, 2, 3):
+        state = tmp_path / f"singlet{two_l}.json"
+        cert_path = tmp_path / f"cert{two_l}.json"
+        run("state-gen", "--kind", "singlet", "--two-l", str(two_l), "--out", str(state))
+        assert run("certify", "--state", str(state), "--relation", "l3", "--json", str(cert_path)) == 3
+        n = two_l + 1
+        direct = certify(singlet_state(SpinQuantum(two_l)), joint_from_catalog("l3", n, n))
+        assert json.loads(cert_path.read_text())["state_digest"] == direct.state_digest
 
 
 def test_state_gen_parameter_errors(tmp_path, capsys):
@@ -272,8 +286,7 @@ def test_search_bound_reports_stop_reasons(capsys, monkeypatch):
     assert list(counts) == ["gradient", "line-search", "stall", "max-iterations"]
     assert counts["max-iterations"] == 0
     assert sum(counts.values()) == 16
-    capped = lambda **kw: SearchConfig(max_iterations=1, **kw)
-    monkeypatch.setattr(cli, "SearchConfig", capped)
+    monkeypatch.setattr(bound_search, "MAX_ITERATIONS", 1)
     assert run("search-bound", "--set", "spin:xy", "--two-l", "2", "--restarts", "8") == 0
     out = capsys.readouterr().out
     assert stop_counts(out) == {"gradient": 0, "line-search": 0, "stall": 0, "max-iterations": 8}
@@ -418,3 +431,44 @@ def test_env_tolerance_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("LURCERT_VALIDATION_TOL", "1e-6")
     assert run("certify", "--state", str(state), "--relation", "s3") == 3
     capsys.readouterr()
+
+
+def structured_error(captured):
+    errors = [line for line in captured.err.splitlines() if "error[" in line]
+    assert len(errors) == 1, captured.err
+    assert "Traceback" not in captured.err
+    return errors[0]
+
+
+def test_hostile_row_counts_allocate_only_the_cells_present(tmp_path, capsys):
+    # 5,000 empty rows claim a 5,000 x 5,000 matrix (400 MB) in a 20 KB file
+    singlet = tmp_path / "singlet.json"
+    run("state-gen", "--kind", "singlet", "--two-l", "1", "--out", str(singlet))
+    state = tmp_path / "rows.json"
+    state.write_text(json.dumps({"dims": [50, 100], "matrix": [[]] * 5000}))
+    bound = tmp_path / "bound.json"
+    bound.write_text(json.dumps({**GOOD_SIDE, "operators": [[[]] * 5000]}))
+    capsys.readouterr()
+    for argv in (("--state", str(state), "--relation", "s3"),
+                 ("--state", str(singlet), "--relation", str(bound))):
+        tracemalloc.start()
+        try:
+            code = run("certify", *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 10 * 2**20, (argv, peak)
+        assert "row 0 must have 5000 entries" in structured_error(capsys.readouterr())
+
+
+def test_state_dims_product_does_not_wrap(tmp_path, capsys):
+    # 4 * 4611686018427387905 is 4 modulo 2^64
+    doc = json.loads(state_to_json(maximally_mixed((2, 2))))
+    doc["dims"] = [4, 4611686018427387905]
+    state = tmp_path / "wrapped.json"
+    state.write_text(json.dumps(doc))
+    assert run("certify", "--state", str(state), "--relation", "s3") == 2
+    assert structured_error(capsys.readouterr()).startswith("error[parse]:")
+    with pytest.raises(DimensionMismatchError):
+        DensityMatrix(np.eye(4) / 4, (4, 4611686018427387905))

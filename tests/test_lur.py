@@ -12,12 +12,11 @@ from lurcert.lur import (
     bell_mixture_analysis,
     build_joint,
     certify,
+    closed_form_violation,
     decoherence_analysis,
     joint_from_catalog,
     stokes_visibilities,
     visibility_to_uncertainty,
-    white_noise_two_component_violation,
-    white_noise_violation,
     wootters_concurrence,
 )
 from lurcert.spin_ops import (
@@ -129,7 +128,7 @@ def test_white_noise_curve_matches_closed_form(two_l):
     joint_s = joint_from_catalog("s3", n, n)
     for p_w in np.linspace(0.0, 1.0, 21):
         rho = white_noise_mixture(spin, p_w)
-        expected = white_noise_violation(spin, p_w)
+        expected = closed_form_violation("white", "l3", (spin, p_w))
         assert abs(certify(rho, joint_l).relative_violation - expected) < 1e-9
         # the Stokes normalization gives the same relative violation
         assert abs(certify(rho, joint_s).relative_violation - expected) < 1e-9
@@ -139,8 +138,23 @@ def test_white_noise_two_component_curve():
     joint = joint_from_catalog("l2n3", 3, 3)
     for p_w in np.linspace(0.0, 1.0, 11):
         rho = white_noise_mixture(SpinQuantum(2), p_w)
-        expected = white_noise_two_component_violation(p_w)
+        expected = closed_form_violation("white", "l2n3", (SpinQuantum(2), p_w))
         assert abs(certify(rho, joint).relative_violation - expected) < 1e-9
+
+
+def test_closed_form_table_blanks_and_checks():
+    assert closed_form_violation("white", "l2n2", (SpinQuantum(1), 0.3)) is None
+    assert closed_form_violation("white", "l2n3", (SpinQuantum(3), 0.3)) is None
+    assert closed_form_violation("xdecoherence", "l2n2", (0.3,)) is None
+    assert closed_form_violation("bell", "l2n3", (1.0, 0.0, 0.0, 0.0)) is None
+    for kind, params in (
+        ("white", (SpinQuantum(2), 1.5)),
+        ("xdecoherence", (-0.1,)),
+        ("bell", (0.9, 0.9, 0.0, 0.0)),
+        ("thermal", (0.5,)),
+    ):
+        with pytest.raises(InvalidParameterError):
+            closed_form_violation(kind, "l3", params)
 
 
 def test_bell_mixture_analysis_examples():

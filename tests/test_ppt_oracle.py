@@ -1,7 +1,7 @@
 """Partial-transpose oracle for the verdicts: a negative partial transpose
 is necessary and sufficient for entanglement at 2x2 and 2x3 (Peres;
 Horodecki, Horodecki and Horodecki), so every ENTANGLED verdict on those
-dims must come with one."""
+dims must come with one.  Separable mixtures must never be flagged."""
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from lurcert.states import (
     random_product_state,
     random_pure_state,
     singlet_state,
+    validate,
 )
 
 
@@ -68,3 +69,26 @@ def test_entangled_verdicts_have_negative_partial_transpose(dims):
                     ppt_min = min_partial_transpose_eigenvalue(rho)
                 assert ppt_min < 0, (joint.label, rho)
     assert entangled > 0
+
+
+def separable_mixtures(dim_a, dim_b, rng, count):
+    """Convex sums of 2 to 4 random product states, pure or mixed."""
+    for _ in range(count):
+        terms = int(rng.integers(2, 5))
+        weights = rng.dirichlet(np.ones(terms))
+        matrix = sum(
+            w * random_product_state(dim_a, dim_b, rng, pure=bool(rng.integers(2))).matrix
+            for w in weights
+        )
+        yield validate(matrix, (dim_a, dim_b))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_no_false_positives_on_separable_mixtures(dims):
+    joints = valid_joints(*dims)
+    rng = np.random.default_rng([23, *dims])
+    for rho in separable_mixtures(*dims, rng, 500):
+        for joint in joints:
+            assert not certify(rho, joint).entangled, (joint.label, rho)
+        if dims != (3, 3):
+            assert min_partial_transpose_eigenvalue(rho) > -1e-12

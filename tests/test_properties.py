@@ -1,12 +1,22 @@
-"""Property tests of certify: invariances the witness total must have."""
+"""Property tests: invariances the witness total must have, and exact state
+files with stable digests."""
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lurcert.lur import build_joint, certify
-from lurcert.spin_ops import OperatorSet
-from lurcert.states import random_mixed_state, random_pure_state, validate
+from lurcert.lur import build_joint, certify, joint_from_catalog
+from lurcert.spin_ops import OperatorSet, SpinQuantum, spin_components
+from lurcert.states import (
+    random_mixed_state,
+    random_pure_state,
+    singlet_state,
+    state_from_json,
+    state_to_json,
+    validate,
+)
 
 DIMS = st.tuples(st.integers(2, 4), st.integers(2, 4))
 
@@ -20,7 +30,7 @@ def _hermitian_set(dim, count, rng, label):
 
 
 def _state(dims, rng, pure):
-    d = dims[0] * dims[1]
+    d = math.prod(dims)
     if pure:
         return random_pure_state(d, rng).projector(dims=dims)
     return random_mixed_state(d, rng, dims=dims)
@@ -65,3 +75,57 @@ def test_swapping_subsystems_keeps_the_total(inputs):
     cert = certify(rho, build_joint(set_a, 1.0, set_b, 2.0))
     again = certify(rho_swapped, build_joint(set_b, 2.0, set_a, 1.0))
     assert _close(cert.total, again.total)
+
+
+@st.composite
+def rotated_pairs(draw):
+    """A state on two spin-l systems and the local rotation R (x) R of it,
+    R = exp(-i theta n.L) built from the eigendecomposition of n.L."""
+    spin = SpinQuantum(draw(st.integers(1, 3)))
+    n = spin.dim
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho = _state((n, n), rng, draw(st.booleans()))
+    axis = rng.standard_normal(3)
+    axis /= np.linalg.norm(axis)
+    w, v = np.linalg.eigh(sum(a * op for a, op in zip(axis, spin_components(spin))))
+    r = (v * np.exp(-1j * draw(st.floats(0, 2 * np.pi)) * w)) @ v.conj().T
+    rr = np.kron(r, r)
+    return rho, validate(rr @ rho.matrix @ rr.conj().T, (n, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rotated_pairs(), st.sampled_from(["l3", "s3"]))
+def test_local_rotation_keeps_the_total(pair, relation):
+    rho, rotated = pair
+    joint = joint_from_catalog(relation, *rho.dims)
+    assert _close(certify(rho, joint).total, certify(rotated, joint).total)
+
+
+@st.composite
+def file_states(draw):
+    """Random states, some with negative zeros in the imaginary diagonal."""
+    dims = draw(st.sampled_from([(2,), (3,), (2, 2), (2, 3), (3, 3)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = _state(dims, rng, draw(st.booleans())).matrix.copy()
+    if draw(st.booleans()):
+        matrix.imag[np.diag_indices(len(matrix))] = -0.0
+    return validate(matrix, dims)
+
+
+@settings(max_examples=60, deadline=None)
+@given(file_states())
+def test_state_file_round_trip_is_exact_and_keeps_the_digest(rho):
+    text = state_to_json(rho)
+    back = state_from_json(text)
+    assert back.dims == rho.dims
+    assert np.array_equal(back.matrix, rho.matrix)
+    assert state_to_json(back) == text
+    assert back.digest == rho.digest
+
+
+PINNED_SINGLET_DIGEST = "b9e2fa9fbdbaa07433141eb30ca072a1d5b9409a965ea248abc2556007cea111"
+
+
+def test_state_digest_is_pinned():
+    # the spin-1/2 singlet holds negative zeros, so this also pins their text
+    assert singlet_state(SpinQuantum(1)).digest == PINNED_SINGLET_DIGEST
