@@ -77,9 +77,10 @@ def as_square_matrix(data) -> np.ndarray:
     return m
 
 
-def hermiticity_deviation(a) -> float:
-    """Max entrywise deviation of ``a`` from its conjugate transpose."""
-    a = as_square_matrix(a)
+def hermiticity_deviation(a: np.ndarray) -> float:
+    """Max entrywise deviation of the square array ``a`` from its conjugate
+    transpose.  ``a`` is used as given: coerce it with ``as_square_matrix``
+    first.  A real ``a`` is its own conjugate."""
     return float(np.abs(a - a.conj().T).max())
 
 

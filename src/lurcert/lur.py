@@ -10,6 +10,7 @@ violated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +49,19 @@ class JointOperatorSet:
     @property
     def dim_b(self) -> int:
         return self.set_b.dim
+
+    @cached_property
+    def trace_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """vec(O^T) rows of the A_i, the B_i, the A_i^2 and the B_i^2, built
+        on first use and kept: row . vec(rho_A) = Tr(rho_A O)."""
+        ops_a = np.array(self.set_a.operators)
+        ops_b = np.array(self.set_b.operators)
+        rows = tuple(
+            _transposed_rows(ops) for ops in (ops_a, ops_b, ops_a @ ops_a, ops_b @ ops_b)
+        )
+        for row in rows:
+            row.setflags(write=False)
+        return rows
 
 
 def build_joint(
@@ -182,15 +196,9 @@ def certify(rho: DensityMatrix, joint: JointOperatorSet) -> LurCertificate:
     rho_a = np.trace(r, axis1=1, axis2=3).reshape(-1)
     rho_b = np.trace(r, axis1=0, axis2=2).reshape(-1)
     pairs = r.transpose(0, 2, 1, 3).reshape(da * da, db * db)
-    ops_a = np.array(joint.set_a.operators)
-    ops_b = np.array(joint.set_b.operators)
-    vec_a, vec_b = _transposed_rows(ops_a), _transposed_rows(ops_b)
+    vec_a, vec_b, sq_a, sq_b = joint.trace_rows
     mean = real_part(vec_a @ rho_a + vec_b @ rho_b)
-    second = real_part(
-        _transposed_rows(ops_a @ ops_a) @ rho_a
-        + _transposed_rows(ops_b @ ops_b) @ rho_b
-        + 2 * ((vec_a @ pairs) * vec_b).sum(axis=1)
-    )
+    second = real_part(sq_a @ rho_a + sq_b @ rho_b + 2 * ((vec_a @ pairs) * vec_b).sum(axis=1))
     per_component = tuple(clip_variance(v) for v in (second - mean * mean).tolist())
     total = sum(per_component)
     return LurCertificate(

@@ -472,3 +472,12 @@ def test_state_dims_product_does_not_wrap(tmp_path, capsys):
     assert structured_error(capsys.readouterr()).startswith("error[parse]:")
     with pytest.raises(DimensionMismatchError):
         DensityMatrix(np.eye(4) / 4, (4, 4611686018427387905))
+
+
+def test_state_dims_reject_booleans(tmp_path, capsys):
+    doc = json.loads(state_to_json(maximally_mixed((2, 2))))
+    doc["dims"] = [True, 4]
+    state = tmp_path / "bool_dims.json"
+    state.write_text(json.dumps(doc))
+    assert run("certify", "--state", str(state), "--relation", "s3") == 2
+    assert structured_error(capsys.readouterr()).startswith('error[parse]: "dims" must be')

@@ -64,6 +64,21 @@ def test_as_square_matrix_rejects_bad_input():
         linalg.as_square_matrix(np.array([[np.nan, 0], [0, 1]]))
 
 
+def test_matrices_are_coerced_once_per_check(monkeypatch):
+    calls = []
+    original = linalg.as_square_matrix
+
+    def counting(data):
+        calls.append(data)
+        return original(data)
+
+    monkeypatch.setattr(linalg, "as_square_matrix", counting)
+    linalg.ensure_hermitian(np.eye(2))
+    assert len(calls) == 1
+    singlet_state(SpinQuantum(1))
+    assert len(calls) == 2
+
+
 def test_tolerances_from_env(monkeypatch):
     monkeypatch.delenv(linalg.ENV_TOLERANCE_VAR, raising=False)
     assert linalg.Tolerances.from_env() == Tolerances()

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lurcert import states
+from lurcert import lur, states
 from lurcert.linalg import DimensionMismatchError, InvalidParameterError, LurcertError, Tolerances
 from lurcert.lur import (
     RELATION_KINDS,
@@ -428,3 +428,24 @@ def test_state_digest_is_hashed_lazily_and_once(monkeypatch):
     # another certificate of the same state reuses its digest
     assert certify(rho, joint_from_catalog("s3", 3, 3)).state_digest == first
     assert len(calls) == 1
+
+
+def test_joint_trace_rows_are_built_once(monkeypatch):
+    original = lur._transposed_rows
+    calls = []
+
+    def counting(ops):
+        calls.append(len(ops))
+        return original(ops)
+
+    monkeypatch.setattr(lur, "_transposed_rows", counting)
+    joint = joint_from_catalog("l3", 3, 3)
+    rng = np.random.default_rng(31)
+    certs = [certify(random_mixed_state(9, rng, dims=(3, 3)), joint) for _ in range(3)]
+    assert calls == [3, 3, 3, 3]
+    assert all(not rows.flags.writeable for rows in joint.trace_rows)
+    # a fresh joint set gives the same totals to the bit
+    for cert in certs:
+        again = certify(cert.state, joint_from_catalog("l3", 3, 3))
+        assert again.per_component == cert.per_component
+        assert again.total == cert.total

@@ -1,3 +1,7 @@
+import itertools
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -86,6 +90,101 @@ def test_validate_env_tolerance_widening():
     with pytest.raises(NotPositiveError):
         validate(m, (2,))
     assert validate(m, (2,), Tolerances(positivity_floor=-0.5)).dim == 2
+
+
+# --- real-arithmetic validation -------------------------------------------
+
+
+def record_eigvalsh(monkeypatch):
+    """Wrap np.linalg.eigvalsh; return the list it fills with (dtype, result)."""
+    calls = []
+    solver = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        w = solver(a, *args, **kwargs)
+        calls.append((np.asarray(a).dtype, w))
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return calls
+
+
+def real_family_members():
+    """Every built-in family with real entries, 2l = 1..11, built lazily."""
+    for two_l in range(1, 12):
+        spin = SpinQuantum(two_l)
+        yield singlet_state(spin)
+        yield maximally_mixed((spin.dim, spin.dim))
+        for p_w in (0.0, 0.3, 1.0):
+            yield white_noise_mixture(spin, p_w)
+    for p_d in (0.0, 0.5, 1.0):
+        yield x_decoherence_mixture(p_d)
+    for weights in ((1, 0, 0, 0), (0.4, 0.3, 0.2, 0.1), (0.25, 0.25, 0.25, 0.25)):
+        yield bell_mixture(*weights)
+    yield min_uncertainty_state_n3(0.0).projector()
+
+
+def random_real_states(count=20):
+    """Seeded real symmetric PSD matrices of unit trace, some rank-deficient."""
+    rng = np.random.default_rng(21)
+    for k in range(count):
+        dim = 2 + k % 11
+        g = rng.standard_normal((dim, 1 + k % dim))
+        m = g @ g.T
+        yield m / np.trace(m)
+
+
+def test_real_states_are_checked_in_real_arithmetic(monkeypatch):
+    calls = record_eigvalsh(monkeypatch)
+    randoms = (validate(m, (len(m),)) for m in random_real_states())
+    for rho in itertools.chain(real_family_members(), randoms):
+        dtype, w = calls[-1]
+        assert dtype == np.float64
+        assert rho.matrix.dtype == complex
+        assert not rho.matrix.imag.any()
+        # the unclipped real spectrum against the complex solver
+        assert np.abs(w - np.linalg.eigvalsh(rho.matrix)).max() <= 1e-14 * rho.dim
+        assert np.array_equal(rho.eigenvalues, np.clip(w, 0.0, 1.0))
+
+
+def test_complex_states_keep_the_complex_solver(monkeypatch):
+    calls = record_eigvalsh(monkeypatch)
+    rng = np.random.default_rng(22)
+    random_mixed_state(6, rng)
+    random_product_state(2, 3, rng)
+    min_uncertainty_state_n3(1.0).projector()
+    nearly_real = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    nearly_real[0, 2] += 1e-300j
+    nearly_real[2, 0] -= 1e-300j
+    validate(nearly_real, (3,))
+    assert calls and all(dtype == np.complex128 for dtype, _ in calls)
+
+
+def tiny_imaginary_pair(m):
+    """``m`` plus 1e-300i on a conjugate pair: the same state, complex path."""
+    out = np.array(m, dtype=complex)
+    out[0, 1] += 1e-300j
+    out[1, 0] -= 1e-300j
+    return out
+
+
+def test_real_path_rejects_as_the_complex_path_does(monkeypatch):
+    rng = np.random.default_rng(23)
+    q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    negative = q @ np.diag([0.5, 0.3, 0.2 + 1e-6, 0.0, -1e-6]) @ q.T
+    skewed = next(random_real_states(1))
+    skewed[0, 1] += 1e-6
+    bad_trace = next(random_real_states(1)) * 1.01
+    calls = record_eigvalsh(monkeypatch)
+    for m, error in ((skewed, NotHermitianError), (negative, NotPositiveError),
+                     (bad_trace, TraceNotOneError)):
+        with pytest.raises(error) as real:
+            validate(m, (len(m),))
+        with pytest.raises(error) as complex_:
+            validate(tiny_imaginary_pair(m), (len(m),))
+        assert type(real.value) is type(complex_.value)
+        assert str(real.value) == str(complex_.value)
+    assert [dtype for dtype, _ in calls] == [np.float64, np.complex128]
 
 
 def test_pure_state_norm_and_phase():
@@ -335,6 +434,15 @@ def test_json_schema_errors():
         state_from_json('{"dims": [1], "matrix": [[[1%s, 0]]]}' % ("0" * 400))
     with pytest.raises(StateFormatError, match="not valid JSON"):
         state_from_json("{nope")
+
+
+@pytest.mark.parametrize("dims", [[True, 2], [2, True], [True]])
+def test_state_dims_reject_booleans(dims):
+    # isinstance(True, int) holds: an int check alone reads [true, 2] as (1, 2)
+    doc = json.loads(state_to_json(maximally_mixed(math.prod(dims))))
+    doc["dims"] = dims
+    with pytest.raises(StateFormatError, match='"dims" must be'):
+        state_from_json(json.dumps(doc))
 
 
 def test_density_matrix_is_read_only():
