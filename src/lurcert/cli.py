@@ -9,6 +9,7 @@ machine-parsable line ``error[<code>]: <message>`` to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -34,7 +35,9 @@ from .states import (
     bell_mixture,
     matrix_from_rows,
     min_uncertainty_state_n3,
+    parse_json,
     read_state,
+    read_utf8,
     singlet_state,
     white_noise_mixture,
     write_state,
@@ -147,7 +150,7 @@ def _resolve_joint(relation: str, rho: DensityMatrix) -> JointOperatorSet:
         raise InvalidParameterError(
             f"relation {relation!r} is neither a catalog kind {RELATION_KINDS} nor a bound file"
         )
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc = parse_json(read_utf8(path))
     if not isinstance(doc, dict):
         raise InvalidParameterError("bound file must be a JSON object")
     if "side_a" in doc or "side_b" in doc:
@@ -240,7 +243,7 @@ def _parse_operator_spec(spec: str, two_l: int | None) -> OperatorSet:
         raise InvalidParameterError(
             f"operator set {spec!r} is neither spin:<xyz>, stokes:<123>, nor a JSON file"
         )
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc = parse_json(read_utf8(path))
     if not isinstance(doc, dict) or "operators" not in doc:
         raise InvalidParameterError('operator file must be an object with an "operators" key')
     return OperatorSet(
@@ -380,14 +383,19 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser of this process, built on the first ``main`` call.  It
+    holds no per-call state: ``parse_args`` returns a fresh namespace, and
+    usage errors and ``--version`` look up ``sys.stderr``/``sys.stdout``
+    when they print."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
-    except json.JSONDecodeError as exc:
-        print(f"error[parse]: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except LurcertError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -10,7 +10,7 @@ violated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -122,8 +122,16 @@ _RELATION_TABLE = {
 }
 
 
+# A fixed size, so a caller that sweeps dims holds a bounded number of
+# operator sets and trace rows.
+@lru_cache(maxsize=32, typed=True)
 def joint_from_catalog(relation: str, dim_a: int, dim_b: int) -> JointOperatorSet:
-    """Symmetric catalog relation applied to both sides of a dim_a x dim_b pair."""
+    """Symmetric catalog relation applied to both sides of a dim_a x dim_b pair.
+
+    The joint set is built once per (relation, dim_a, dim_b) and shared by
+    later calls; it is frozen, with read-only operators and trace rows.
+    Invalid arguments raise on every call.
+    """
     if relation not in _RELATION_TABLE:
         raise InvalidParameterError(
             f"unknown relation kind {relation!r}; valid: {RELATION_KINDS}"

@@ -39,7 +39,8 @@ class NotPositiveError(StateValidationError):
 
 
 class StateFormatError(StateValidationError):
-    """State file does not follow the JSON schema."""
+    """State file does not follow the JSON schema, or a state, bound or
+    operator file is not UTF-8 JSON."""
 
     code = "parse"
 
@@ -298,20 +299,32 @@ def x_basis_kets() -> list[np.ndarray]:
     return kets
 
 
+def _anticorrelated_x_projectors() -> tuple[np.ndarray, ...]:
+    minus, zero, plus = x_basis_kets()
+    projectors = []
+    for a, b in ((minus, plus), (zero, zero), (plus, minus)):
+        prod = np.kron(a, b)
+        projector = np.outer(prod, prod.conj())
+        projector.setflags(write=False)
+        projectors.append(projector)
+    return tuple(projectors)
+
+
+_X_PRODUCT_PROJECTORS = _anticorrelated_x_projectors()
+
+
 def x_decoherence_mixture(p_d, tolerances: Tolerances | None = None) -> DensityMatrix:
     """Spin-1 singlet decohered in the L_x basis.
 
     Mixes the singlet with the three anticorrelated L_x product states
     |m_x; -m_x>, so the joint uncertainty of L_x(A) + L_x(B) stays zero for
-    every p_D.
+    every p_D.  Their projectors are built once, at import.
     """
     p_d = _check_fraction(p_d, "p_d")
     sing = singlet_ket(SpinQuantum(2)).amplitudes
     matrix = (1 - p_d) * np.outer(sing, sing.conj())
-    minus, zero, plus = x_basis_kets()
-    for a, b in ((minus, plus), (zero, zero), (plus, minus)):
-        prod = np.kron(a, b)
-        matrix += (p_d / 3) * np.outer(prod, prod.conj())
+    for projector in _X_PRODUCT_PROJECTORS:
+        matrix += (p_d / 3) * projector
     return DensityMatrix(matrix, (3, 3), tolerances)
 
 
@@ -384,11 +397,27 @@ def state_to_json(state: DensityMatrix) -> str:
     return f'{{"dims":[{dims}],"matrix":[{",".join(rows)}]}}'
 
 
-def state_from_json(text: str, tolerances: Tolerances | None = None) -> DensityMatrix:
+def read_utf8(path, prefix: str = "") -> str:
+    """The text of a JSON input file; bytes that are not UTF-8 raise
+    StateFormatError with ``prefix`` before the decoder's message."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StateFormatError(f"state file is not valid JSON: {exc}") from exc
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise StateFormatError(f"{prefix}{exc}") from exc
+
+
+def parse_json(text: str, prefix: str = ""):
+    """The document of a JSON input file.  Malformed text, nesting too deep
+    for the parser and integer literals too long to convert all raise
+    StateFormatError with ``prefix`` before the parser's message."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise StateFormatError(f"{prefix}{exc}") from exc
+
+
+def state_from_json(text: str, tolerances: Tolerances | None = None) -> DensityMatrix:
+    doc = parse_json(text, "state file is not valid JSON: ")
     if not isinstance(doc, dict) or set(doc) != {"dims", "matrix"}:
         raise StateFormatError('state file must be an object with keys "dims" and "matrix"')
     dims = doc["dims"]
@@ -436,7 +465,7 @@ def write_state(state: DensityMatrix, path) -> None:
 
 
 def read_state(path, tolerances: Tolerances | None = None) -> DensityMatrix:
-    return state_from_json(Path(path).read_text(encoding="utf-8"), tolerances)
+    return state_from_json(read_utf8(path, "state file is not UTF-8 text: "), tolerances)
 
 
 def state_digest(state: DensityMatrix) -> str:

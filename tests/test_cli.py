@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from lurcert.states import (
     read_state,
     singlet_state,
     state_to_json,
+    write_state,
 )
 
 
@@ -481,3 +486,92 @@ def test_state_dims_reject_booleans(tmp_path, capsys):
     state.write_text(json.dumps(doc))
     assert run("certify", "--state", str(state), "--relation", "s3") == 2
     assert structured_error(capsys.readouterr()).startswith('error[parse]: "dims" must be')
+
+
+HOSTILE_CONTENTS = {
+    "not-utf8": b'{"dims": [2, 2], "matrix": "\xff\xfe"}',
+    "deep-nesting": b"[" * 200000,
+    "long-integer": b'{"dims": [' + b"7" * 5000 + b"]}",
+}
+
+
+@pytest.mark.parametrize("content", list(HOSTILE_CONTENTS))
+@pytest.mark.parametrize("where", ["state", "bound", "operators"])
+def test_hostile_files_are_parse_errors(where, content, tmp_path, capsys):
+    hostile = tmp_path / "hostile.json"
+    hostile.write_bytes(HOSTILE_CONTENTS[content])
+    singlet = tmp_path / "singlet.json"
+    run("state-gen", "--kind", "singlet", "--two-l", "1", "--out", str(singlet))
+    capsys.readouterr()
+    argv = {
+        "state": ("certify", "--state", str(hostile), "--relation", "s3"),
+        "bound": ("certify", "--state", str(singlet), "--relation", str(hostile)),
+        "operators": ("search-bound", "--set", str(hostile), "--restarts", "2"),
+    }[where]
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert structured_error(captured).startswith("error[parse]:")
+    assert captured.out == ""
+
+
+def test_one_parser_serves_a_sequence_of_calls(tmp_path, monkeypatch, capsys):
+    """In-process calls on the shared parser give the bytes and exit codes
+    of the same calls in fresh processes, and the parser is built once."""
+    singlet, mixed, loose = (tmp_path / f"{name}.json" for name in ("singlet", "mixed", "loose"))
+    write_state(singlet_state(SpinQuantum(2)), singlet)
+    write_state(maximally_mixed((2, 2)), mixed)
+    doc = json.loads(state_to_json(maximally_mixed((2, 2))))
+    doc["matrix"][0][0][0] += 1e-6  # trace off by more than the default tolerance
+    loose.write_text(json.dumps(doc))
+    curve = tmp_path / "curve.csv"
+    calls = [
+        (["certify", "--state", str(singlet)], None),
+        (["--version"], None),
+        (["certify", "--state", str(singlet), "--relation", "l3"], None),
+        (["certify", "--state", str(mixed), "--relation", "s3"], None),
+        (["family", "--kind", "bell", "--grid", "0:1:0.25", "--relation", "s2n2",
+          "--out", str(curve)], None),
+        (["certify", "--state", str(loose), "--relation", "s3"], None),
+        (["certify", "--state", str(loose), "--relation", "s3"], "1e-3"),
+    ]
+
+    built = []
+    original = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._shared_parser.cache_clear()
+    capsys.readouterr()
+    in_process = []
+    for argv, tol in calls:
+        if tol is None:
+            monkeypatch.delenv("LURCERT_VALIDATION_TOL", raising=False)
+        else:
+            monkeypatch.setenv("LURCERT_VALIDATION_TOL", tol)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        written = curve.read_bytes() if argv[0] == "family" else None
+        in_process.append((code, captured.out, captured.err, written))
+    assert len(built) == 1
+    assert [result[0] for result in in_process] == [1, 0, 3, 0, 0, 2, 0]
+
+    src = str(Path(lurcert.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "LURCERT_VALIDATION_TOL"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    for (argv, tol), expected in zip(calls, in_process):
+        curve.unlink(missing_ok=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "lurcert.cli", *argv],
+            env=env if tol is None else {**env, "LURCERT_VALIDATION_TOL": tol},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        written = curve.read_bytes() if argv[0] == "family" else None
+        assert (proc.returncode, proc.stdout, proc.stderr, written) == expected, argv

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -15,6 +16,7 @@ from lurcert.lur import (
     closed_form_violation,
     decoherence_analysis,
     joint_from_catalog,
+    joint_from_relations,
     stokes_visibilities,
     visibility_to_uncertainty,
     wootters_concurrence,
@@ -439,13 +441,58 @@ def test_joint_trace_rows_are_built_once(monkeypatch):
         return original(ops)
 
     monkeypatch.setattr(lur, "_transposed_rows", counting)
-    joint = joint_from_catalog("l3", 3, 3)
+    # joint_from_relations builds a new set on every call; the catalog
+    # joints are shared, so theirs may already be built
+    side = catalog_bound("spin3", SpinQuantum(2))
+    joint = joint_from_relations(side, side)
     rng = np.random.default_rng(31)
     certs = [certify(random_mixed_state(9, rng, dims=(3, 3)), joint) for _ in range(3)]
     assert calls == [3, 3, 3, 3]
     assert all(not rows.flags.writeable for rows in joint.trace_rows)
     # a fresh joint set gives the same totals to the bit
     for cert in certs:
-        again = certify(cert.state, joint_from_catalog("l3", 3, 3))
+        again = certify(cert.state, joint_from_relations(side, side))
         assert again.per_component == cert.per_component
         assert again.total == cert.total
+    assert calls == [3, 3, 3, 3] * 4
+
+
+def test_catalog_joints_are_shared_and_read_only():
+    joint = joint_from_catalog("l2n3", 3, 3)
+    assert joint_from_catalog("l2n3", 3, 3) is joint
+    assert joint_from_catalog("l2n3", 3, 3).trace_rows is joint.trace_rows
+    for op in (*joint.set_a, *joint.set_b, *joint.trace_rows):
+        with pytest.raises(ValueError, match="read-only"):
+            op[0, 0] = 1.0
+    # the shared set certifies as a freshly built one does, to the bit
+    rel = catalog_bound("spin2_N3", SpinQuantum(2))
+    fresh = dataclasses.replace(joint_from_relations(rel, rel), label="l2n3")
+    rho = random_mixed_state(9, np.random.default_rng(5), dims=(3, 3))
+    shared_cert, fresh_cert = certify(rho, joint), certify(rho, fresh)
+    assert shared_cert.per_component == fresh_cert.per_component
+    assert shared_cert.relation_label == fresh_cert.relation_label == "l2n3"
+    assert joint_from_catalog("l3", 2, 3) is not joint_from_catalog("l3", 3, 2)
+
+
+@pytest.mark.parametrize(
+    "args", [("bogus", 2, 2), ("l2n3", 2, 2), ("l3", 1, 2), ("s3", 3, 0), ("l2n2", 3, 3)]
+)
+def test_invalid_catalog_keys_raise_on_every_call(args):
+    for _ in range(3):
+        with pytest.raises(InvalidParameterError):
+            joint_from_catalog(*args)
+
+
+def test_catalog_joint_cache_is_bounded():
+    size = joint_from_catalog.cache_info().maxsize
+    assert size == 32
+    keys = [(a, b) for a in range(2, 9) for b in range(2, 9)]
+    assert len(keys) > size
+    joints = [joint_from_catalog("s3", dim_a, dim_b) for dim_a, dim_b in keys]
+    assert [(j.dim_a, j.dim_b) for j in joints] == keys
+    assert joint_from_catalog.cache_info().currsize == size
+    # the oldest key was evicted and comes back as a new, equal set
+    again = joint_from_catalog("s3", *keys[0])
+    assert again is not joints[0]
+    assert again.local_limit == joints[0].local_limit == 4.0
+    assert joint_from_catalog("s3", *keys[-1]) is joints[-1]

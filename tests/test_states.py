@@ -357,6 +357,17 @@ def test_x_basis_kets_are_eigenvectors():
         assert abs(lead.imag) < 1e-15 and lead.real > 0
 
 
+def test_mutated_x_basis_kets_leave_the_family_unchanged():
+    before = x_decoherence_mixture(0.4).matrix.copy()
+    kets = x_basis_kets()
+    assert all(ket.flags.writeable for ket in kets)
+    for ket in kets:
+        ket[:] = 7.0
+    assert not any(ket is other for ket, other in zip(kets, x_basis_kets()))
+    assert all(np.abs(ket).max() < 1.0 + 1e-12 for ket in x_basis_kets())
+    assert np.array_equal(x_decoherence_mixture(0.4).matrix, before)
+
+
 def test_min_uncertainty_state():
     for phi in (0.0, 0.4, np.pi / 2, 2.0):
         psi = min_uncertainty_state_n3(phi)
