@@ -63,8 +63,9 @@ class SearchResult:
     """Best minimum over restarts with per-restart bookkeeping.
 
     ``restart_stops`` names why each restart stopped: the gradient fell
-    below tolerance, the line search found no descent above ``MIN_STEP``,
-    the stall window saw too little decrease, or the iteration cap hit.
+    below tolerance, the line search reached the floating-point floor (the
+    Armijo decrease rounds away, or the step falls below ``MIN_STEP``), the
+    stall window saw too little decrease, or the iteration cap hit.
     """
 
     minimum: float
@@ -119,12 +120,13 @@ def _minimize_block(stack: np.ndarray, psi: np.ndarray, history=None):
     """Projected-gradient descent on every column of the (dim, R) block ``psi``.
 
     Each column follows the single-start rules on its own: a Barzilai-Borwein
-    trial step capped at ``INITIAL_STEP``, Armijo backtracking down to
-    ``MIN_STEP``, the gradient-tolerance stop, the stall window and
-    ``MAX_ITERATIONS``.  A column retires when it stops, and each iteration
-    works on the active columns only.  ``history``, if given, receives the
-    (R,) array of current values once at the start and after every
-    iteration.  Returns (minima, final block, stop reason per column).
+    trial step capped at ``INITIAL_STEP``, Armijo backtracking until the
+    demanded decrease rounds away or the step falls below ``MIN_STEP``, the
+    gradient-tolerance stop, the stall window and ``MAX_ITERATIONS``.  A
+    column retires when it stops, and each iteration works on the active
+    columns only.  ``history``, if given, receives the (R,) array of current
+    values once at the start and after every iteration.  Returns (minima,
+    final block, stop reason per column).
     """
     f, grad = _evaluate(stack, psi)
     minima = f.copy()
@@ -154,7 +156,9 @@ def _minimize_block(stack: np.ndarray, psi: np.ndarray, history=None):
             new_grad[:, done] = grad_trial[:, ok]
             pending = pending[~ok]
             step[pending] *= STEP_SHRINK
-            exhausted = step[pending] < MIN_STEP
+            # the next Armijo target rounds to f, so no decrease it asks for shows
+            target = f[pending] - ARMIJO * step[pending] * grad_sq[pending]
+            exhausted = (step[pending] < MIN_STEP) | (target == f[pending])
             reason[pending[exhausted]] = _LINE_SEARCH
             pending = pending[~exhausted]
         move = new_psi - psi

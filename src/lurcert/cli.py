@@ -61,6 +61,8 @@ class _Parser(argparse.ArgumentParser):
 
 # a family grid allocates one float per point before any state is built
 MAX_GRID_POINTS = 10**6
+# 2l <= 63 keeps N <= 64, so a joint state is at most 4096 x 4096 (256 MiB)
+MAX_TWO_L = 63
 
 
 def _fmt(x: float) -> str:
@@ -392,9 +394,17 @@ def _shared_parser() -> _Parser:
     return build_parser()
 
 
+def _check_two_l(args) -> None:
+    """Refuse ``--two-l`` above ``MAX_TWO_L`` before a sub-command allocates."""
+    two_l = getattr(args, "two_l", None)
+    if two_l is not None and two_l > MAX_TWO_L:
+        raise InvalidParameterError(f"--two-l must be at most {MAX_TWO_L}, got {two_l}")
+
+
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
+        _check_two_l(args)
         return args.func(args)
     except LurcertError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)

@@ -3,9 +3,11 @@ import pytest
 
 from lurcert import bound_search
 from lurcert.bound_search import (
+    ARMIJO,
     RESTART_BLOCK,
     STOP_REASONS,
     SearchConfig,
+    _evaluate,
     _minimize_block,
     _operator_stack,
     _random_start,
@@ -97,6 +99,60 @@ def test_restarts_cross_block_boundary():
     tail = np.stack([_random_start(op_set.dim, np.random.default_rng([0, r])) for r in second], axis=1)
     minima, _, _ = _minimize_block(_operator_stack(op_set), tail)
     assert minima.tolist() == list(long.restart_minima[RESTART_BLOCK:])
+
+
+@pytest.fixture(scope="module")
+def settled_block():
+    """The final block of a 64-restart spin:xy descent at l = 2, seed 1."""
+    stack = _operator_stack(spin_subset(SpinQuantum(4), "xy"))
+    starts = np.stack(
+        [_random_start(5, np.random.default_rng([1, r])) for r in range(RESTART_BLOCK)], axis=1
+    )
+    minima, final, stops = _minimize_block(stack, starts)
+    return stack, minima, final, stops
+
+
+def test_floor_columns_retire_without_backtracking(monkeypatch):
+    # converged columns used to halve their step down to 1e-18 on every
+    # iteration until the stall window retired them: 2,912 calls here
+    calls = []
+
+    def counted(stack, psi):
+        calls.append(1)
+        return _evaluate(stack, psi)
+
+    monkeypatch.setattr(bound_search, "_evaluate", counted)
+    res = minimize_sum_uncertainty(spin_subset(SpinQuantum(2), "xy"), SearchConfig(rng_seed=5))
+    assert abs(res.minimum - 0.4375) < 1e-12
+    assert res.restarts_agreeing == 64
+    assert len(calls) <= 100
+
+
+def test_descent_from_the_final_block_finds_no_decrease(settled_block):
+    stack, minima, final, _ = settled_block
+    again, _, _ = _minimize_block(stack, final)
+    assert (minima - again <= 1e-12 * np.maximum(1.0, np.abs(minima))).all()
+
+
+def test_line_search_stops_sit_at_the_floor(settled_block):
+    stack, minima, final, stops = settled_block
+    f, grad = _evaluate(stack, final)
+    assert np.array_equal(f, minima)
+    # Along the sphere, f has curvature at most L = 4||S|| + 16 sum_i ||A_i||^2,
+    # so every step s <= 1/L along -g descends, and the Armijo test asks it for
+    # ARMIJO * s * |g|^2 <= ARMIJO * |g|^2 / L.  Below the norm g_floor that
+    # demand is under eps * max(1, |f|), within f's rounding, and the gain the
+    # bound guarantees for s = 1/L, |g|^2 / (2L), is under 5e3 eps, about
+    # 1e-12 relative: f is at its floor as the line search can see it.
+    norm = lambda a: np.linalg.norm(a, 2)
+    curvature = 4 * norm(stack[0]) + 16 * sum(norm(a) ** 2 for a in stack[1:])
+    eps = np.finfo(float).eps
+    g_floor = np.sqrt(curvature * eps * np.maximum(1.0, np.abs(f)) / ARMIJO)
+    line_search = np.array(stops) == "line-search"
+    assert line_search.sum() >= RESTART_BLOCK // 2
+    assert (np.linalg.norm(grad, axis=0)[line_search] < g_floor[line_search]).all()
+    # the stall window is a backstop: every column here stops at the floor first
+    assert set(stops) <= {"gradient", "line-search"}
 
 
 def test_stop_reasons_at_iteration_cap(monkeypatch):

@@ -467,6 +467,41 @@ def test_hostile_row_counts_allocate_only_the_cells_present(tmp_path, capsys):
         assert "row 0 must have 5000 entries" in structured_error(capsys.readouterr())
 
 
+# 2l = 10^6 asks for a 14.6 TiB matrix if it is not refused first
+OVER_CAP_TWO_L = {
+    "family": ("family", "--kind", "white", "--grid", "0:1:0.5", "--relation", "l3"),
+    "search-bound": ("search-bound", "--set", "spin:xy"),
+    "state-gen": ("state-gen", "--kind", "white", "--p", "0.5"),
+    "bound": ("bound", "--kind", "spin3"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OVER_CAP_TWO_L))
+def test_two_l_over_the_cap_is_refused_before_allocating(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = OVER_CAP_TWO_L[command] + ("--two-l", "1000000")
+    if command in ("family", "state-gen"):
+        argv += ("--out", str(out))
+    tracemalloc.start()
+    try:
+        code = run(*argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 10 * 2**20, peak
+    line = structured_error(capsys.readouterr())
+    assert line == f"error[invalid-parameter]: --two-l must be at most {cli.MAX_TWO_L}, got 1000000"
+    assert not out.exists()
+
+
+def test_two_l_cap_boundary(capsys):
+    assert run("bound", "--kind", "spin3", "--two-l", str(cli.MAX_TWO_L)) == 0
+    assert "bound: 31.5" in capsys.readouterr().out
+    assert run("bound", "--kind", "stokes3", "--two-l", str(cli.MAX_TWO_L + 1)) == 2
+    assert structured_error(capsys.readouterr()).startswith("error[invalid-parameter]:")
+
+
 def test_state_dims_product_does_not_wrap(tmp_path, capsys):
     # 4 * 4611686018427387905 is 4 modulo 2^64
     doc = json.loads(state_to_json(maximally_mixed((2, 2))))
