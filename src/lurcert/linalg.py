@@ -7,6 +7,7 @@ errors raised when an input breaks a contract.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -61,6 +62,9 @@ class Tolerances:
             ) from exc
         if not eps > 0:
             raise InvalidParameterError(f"{ENV_TOLERANCE_VAR} must be positive, got {raw!r}")
+        # an infinite epsilon would switch every validation check off
+        if not math.isfinite(eps):
+            raise InvalidParameterError(f"{ENV_TOLERANCE_VAR} must be finite, got {raw!r}")
         return replace(cls(), hermiticity=eps, trace_deviation=eps, positivity_floor=-eps)
 
 

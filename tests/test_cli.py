@@ -438,6 +438,32 @@ def test_env_tolerance_override(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def coherent_product_below_zero(path):
+    """Write 1.2|aa><aa| - 0.05*1 at 2x2, a the qubit coherent state along
+    (1,1,1)/sqrt(3): trace one, Hermitian, min eigenvalue -0.05."""
+    theta, phi = np.arccos(1 / np.sqrt(3)), np.pi / 4
+    a = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+    aa = np.kron(a, a)
+    m = 1.2 * np.outer(aa, aa.conj()) - 0.05 * np.eye(4)
+    rows = [[[z.real, z.imag] for z in row] for row in m]
+    path.write_text(json.dumps({"dims": [2, 2], "matrix": rows}))
+
+
+def test_infinite_env_tolerance_is_refused(tmp_path, monkeypatch, capsys):
+    state = tmp_path / "negative.json"
+    coherent_product_below_zero(state)
+    monkeypatch.delenv("LURCERT_VALIDATION_TOL", raising=False)
+    assert run("certify", "--state", str(state), "--relation", "l3") == 2
+    assert "error[not-positive]: state is not positive semidefinite: min eigenvalue -5.000e-02" \
+        in capsys.readouterr().err
+    for tol in ("inf", "1e400", "-inf", "nan"):
+        monkeypatch.setenv("LURCERT_VALIDATION_TOL", tol)
+        assert run("certify", "--state", str(state), "--relation", "l3") == 2
+        captured = capsys.readouterr()
+        assert "ENTANGLED" not in captured.out
+        assert structured_error(captured).startswith("error[invalid-parameter]:")
+
+
 def structured_error(captured):
     errors = [line for line in captured.err.splitlines() if "error[" in line]
     assert len(errors) == 1, captured.err

@@ -90,3 +90,11 @@ def test_tolerances_from_env(monkeypatch):
     monkeypatch.setenv(linalg.ENV_TOLERANCE_VAR, "bogus")
     with pytest.raises(InvalidParameterError):
         linalg.Tolerances.from_env()
+
+
+@pytest.mark.parametrize("raw", ["inf", "Infinity", "1e400", "nan", "-inf", "0", "-1e-6"])
+def test_tolerances_from_env_refuses_non_finite_and_non_positive(raw, monkeypatch):
+    # an infinite epsilon would accept any state with finite entries
+    monkeypatch.setenv(linalg.ENV_TOLERANCE_VAR, raw)
+    with pytest.raises(InvalidParameterError, match=linalg.ENV_TOLERANCE_VAR):
+        linalg.Tolerances.from_env()

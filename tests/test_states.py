@@ -95,18 +95,60 @@ def test_validate_env_tolerance_widening():
 # --- real-arithmetic validation -------------------------------------------
 
 
-def record_eigvalsh(monkeypatch):
-    """Wrap np.linalg.eigvalsh; return the list it fills with (dtype, result)."""
+def record_solvers(monkeypatch):
+    """Wrap np.linalg.cholesky and np.linalg.eigvalsh; return the list they
+    fill with (name, dtype, result), where a failed factorization records
+    the LinAlgError instead of a result."""
     calls = []
-    solver = np.linalg.eigvalsh
 
-    def recording(a, *args, **kwargs):
-        w = solver(a, *args, **kwargs)
-        calls.append((np.asarray(a).dtype, w))
-        return w
+    def recording(name):
+        solver = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        def wrapper(a, *args, **kwargs):
+            try:
+                result = solver(a, *args, **kwargs)
+            except np.linalg.LinAlgError as exc:
+                calls.append((name, np.asarray(a).dtype, exc))
+                raise
+            calls.append((name, np.asarray(a).dtype, result))
+            return result
+
+        monkeypatch.setattr(np.linalg, name, wrapper)
+
+    recording("cholesky")
+    recording("eigvalsh")
     return calls
+
+
+def states_with_their_calls(states, calls):
+    """Pair each state the iterable builds with the solver calls made while
+    building it."""
+    states = iter(states)
+    while True:
+        del calls[:]
+        try:
+            rho = next(states)
+        except StopIteration:
+            return
+        yield rho, list(calls)
+
+
+def check_lazy_eigenvalues(rho, calls, dtype):
+    """The first read of ``eigenvalues`` runs one eigvalsh in ``dtype`` and
+    keeps its clipped result, read-only; later reads reuse it.  Returns the
+    unclipped spectrum."""
+    del calls[:]
+    eigenvalues = rho.eigenvalues
+    assert [(name, a_dtype) for name, a_dtype, _ in calls] == [("eigvalsh", dtype)]
+    spectrum = calls[0][2]
+    checked = rho.matrix.real if dtype == np.float64 else rho.matrix
+    assert np.array_equal(spectrum, np.linalg.eigvalsh(checked))
+    assert np.array_equal(eigenvalues, np.clip(spectrum, 0.0, 1.0))
+    assert not eigenvalues.flags.writeable
+    del calls[:]
+    assert rho.eigenvalues is eigenvalues
+    assert not calls
+    return spectrum
 
 
 def real_family_members():
@@ -135,29 +177,34 @@ def random_real_states(count=20):
 
 
 def test_real_states_are_checked_in_real_arithmetic(monkeypatch):
-    calls = record_eigvalsh(monkeypatch)
+    calls = record_solvers(monkeypatch)
     randoms = (validate(m, (len(m),)) for m in random_real_states())
-    for rho in itertools.chain(real_family_members(), randoms):
-        dtype, w = calls[-1]
-        assert dtype == np.float64
+    built = states_with_their_calls(itertools.chain(real_family_members(), randoms), calls)
+    for rho, made in built:
+        # accepted by one real factorization per validation, no eigensolve
+        assert made and all(name == "cholesky" and dtype == np.float64 for name, dtype, _ in made)
         assert rho.matrix.dtype == complex
         assert not rho.matrix.imag.any()
+        w = check_lazy_eigenvalues(rho, calls, np.float64)
         # the unclipped real spectrum against the complex solver
         assert np.abs(w - np.linalg.eigvalsh(rho.matrix)).max() <= 1e-14 * rho.dim
-        assert np.array_equal(rho.eigenvalues, np.clip(w, 0.0, 1.0))
 
 
 def test_complex_states_keep_the_complex_solver(monkeypatch):
-    calls = record_eigvalsh(monkeypatch)
+    calls = record_solvers(monkeypatch)
     rng = np.random.default_rng(22)
-    random_mixed_state(6, rng)
-    random_product_state(2, 3, rng)
-    min_uncertainty_state_n3(1.0).projector()
     nearly_real = np.diag([0.5, 0.3, 0.2]).astype(complex)
     nearly_real[0, 2] += 1e-300j
     nearly_real[2, 0] -= 1e-300j
-    validate(nearly_real, (3,))
-    assert calls and all(dtype == np.complex128 for dtype, _ in calls)
+    builders = (
+        lambda: random_mixed_state(6, rng),
+        lambda: random_product_state(2, 3, rng),
+        lambda: min_uncertainty_state_n3(1.0).projector(),
+        lambda: validate(nearly_real, (3,)),
+    )
+    for rho, made in states_with_their_calls((build() for build in builders), calls):
+        assert made and all(name == "cholesky" and dtype == np.complex128 for name, dtype, _ in made)
+        check_lazy_eigenvalues(rho, calls, np.complex128)
 
 
 def tiny_imaginary_pair(m):
@@ -175,7 +222,7 @@ def test_real_path_rejects_as_the_complex_path_does(monkeypatch):
     skewed = next(random_real_states(1))
     skewed[0, 1] += 1e-6
     bad_trace = next(random_real_states(1)) * 1.01
-    calls = record_eigvalsh(monkeypatch)
+    calls = record_solvers(monkeypatch)
     for m, error in ((skewed, NotHermitianError), (negative, NotPositiveError),
                      (bad_trace, TraceNotOneError)):
         with pytest.raises(error) as real:
@@ -184,7 +231,103 @@ def test_real_path_rejects_as_the_complex_path_does(monkeypatch):
             validate(tiny_imaginary_pair(m), (len(m),))
         assert type(real.value) is type(complex_.value)
         assert str(real.value) == str(complex_.value)
-    assert [dtype for dtype, _ in calls] == [np.float64, np.complex128]
+    # only the non-positive state reaches the factorization, which fails
+    # and falls back to the spectrum, in each arithmetic
+    assert [(name, dtype) for name, dtype, _ in calls] == [
+        ("cholesky", np.float64), ("eigvalsh", np.float64),
+        ("cholesky", np.complex128), ("eigvalsh", np.complex128),
+    ]
+
+
+# --- the factorization against the eigvalsh rule --------------------------
+
+
+def eigvalsh_rule(m, floor):
+    """The reference rule validation must agree with: accept when the
+    smallest eigenvalue clears the floor.  Returns ``(accepted,
+    NotPositiveError text or None)``."""
+    m = np.asarray(m)
+    least = np.linalg.eigvalsh(m if m.imag.any() else m.real)[0]
+    if least < floor:
+        return False, f"state is not positive semidefinite: min eigenvalue {least:.3e}"
+    return True, None
+
+
+def positivity_decision(m, tolerances=None):
+    try:
+        validate(m, (len(m),), tolerances)
+    except NotPositiveError as exc:
+        return False, str(exc)
+    return True, None
+
+
+def state_with_least_eigenvalue(least, dim, real, rng):
+    """Hermitian unit-trace matrix, smallest eigenvalue ``least``, in a
+    random real or complex basis."""
+    rest = rng.uniform(0.5, 1.0, dim - 1)
+    spectrum = np.concatenate(([least], rest * (1.0 - least) / rest.sum()))
+    g = rng.standard_normal((dim, dim))
+    if not real:
+        g = g + 1j * rng.standard_normal((dim, dim))
+    q, _ = np.linalg.qr(g)
+    m = (q * spectrum) @ q.conj().T
+    return (m + m.conj().T) / 2
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("dim", [2, 4, 9, 16, 144])
+def test_factorization_decides_as_eigvalsh_at_the_floor(dim, real):
+    rng = np.random.default_rng([24, dim, real])
+    for floor in (-1e-9, -1e-6, 0.0, 1e-4):
+        tolerances = Tolerances(positivity_floor=floor)
+        for offset in (1e-12, -1e-12):
+            m = state_with_least_eigenvalue(floor + offset, dim, real, rng)
+            assert bool(m.imag.any()) is not real
+            expected = eigvalsh_rule(m, floor)
+            # the construction lands on the intended side of the floor
+            assert expected[0] is (offset > 0)
+            assert positivity_decision(m, tolerances) == expected
+            assert positivity_decision(np.asfortranarray(m), tolerances) == expected
+
+
+@pytest.mark.parametrize("phase", [1.0, np.exp(0.7j)], ids=["real", "complex"])
+def test_the_lower_triangle_decides_as_eigvalsh_reads_it(phase):
+    tol = Tolerances()
+    inside = 0.5 - tol.positivity_floor - 1e-12  # lambda_min = floor + 1e-12
+    outside = inside + 5e-10  # lambda_min = floor - 5e-10 + 1e-12
+    for lower, upper in ((inside, outside), (outside, inside)):
+        m = np.array([[0.5, np.conj(upper * phase)], [lower * phase, 0.5]])
+        assert 0 < np.abs(m - m.conj().T).max() <= tol.hermiticity
+        # the two triangles disagree about positivity ...
+        assert bool(np.linalg.eigvalsh(m, UPLO="U")[0] >= tol.positivity_floor) is (upper == inside)
+        # ... and validation sides with eigvalsh, which reads the lower one
+        expected = eigvalsh_rule(m, tol.positivity_floor)
+        assert expected[0] is (lower == inside)
+        assert positivity_decision(m) == expected
+
+
+def test_zero_floor_accepts_a_projector_through_the_fallback(monkeypatch):
+    exact = Tolerances(positivity_floor=0.0)
+    calls = record_solvers(monkeypatch)
+    for m in (np.diag([1.0, 0.0]), np.diag([0.0, 0.0, 1.0, 0.0]),
+              tiny_imaginary_pair(np.diag([0.0, 1.0, 0.0]))):
+        del calls[:]
+        rho = validate(m, (len(m),), exact)
+        # a singular matrix has no Cholesky factor; the spectrum accepts it
+        (factor, _, failure), (solve, _, spectrum) = calls
+        assert (factor, solve) == ("cholesky", "eigvalsh")
+        assert isinstance(failure, np.linalg.LinAlgError)
+        assert spectrum[0] >= 0.0
+        assert np.array_equal(rho.eigenvalues, np.clip(spectrum, 0.0, 1.0))
+
+
+def test_not_positive_message_is_unchanged():
+    m = np.diag([0.6, 0.6, -0.2])
+    for matrix in (m, tiny_imaginary_pair(m)):
+        with pytest.raises(NotPositiveError) as err:
+            validate(matrix, (3,))
+        assert str(err.value) == "state is not positive semidefinite: min eigenvalue -2.000e-01"
+        assert err.value.code == "not-positive"
 
 
 def test_pure_state_norm_and_phase():
