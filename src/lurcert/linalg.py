@@ -85,7 +85,11 @@ def hermiticity_deviation(a: np.ndarray) -> float:
     """Max entrywise deviation of the square array ``a`` from its conjugate
     transpose.  ``a`` is used as given: coerce it with ``as_square_matrix``
     first.  A real ``a`` is its own conjugate."""
-    return float(np.abs(a - a.conj().T).max())
+    # The differences a - a^H.  A complex ``a`` is conjugated into a fresh
+    # array, and the differences overwrite it: one temporary, not two.
+    h = a.conj()  # ``a`` itself when it is real
+    d = np.subtract(a, h.T, out=None if h is a else h.T)
+    return float(np.abs(d).max())
 
 
 def ensure_hermitian(a, tol: float | None = None, what: str = "matrix") -> np.ndarray:

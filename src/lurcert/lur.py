@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -185,8 +186,14 @@ class LurCertificate:
         }
 
 
-def certify(rho: DensityMatrix, joint: JointOperatorSet) -> LurCertificate:
-    """Evaluate the local uncertainty relation on a bipartite state."""
+def joint_moments(
+    rho: DensityMatrix, joint: JointOperatorSet
+) -> tuple[np.ndarray, np.ndarray]:
+    """The real arrays of <J_i> and of <J_i^2> on a bipartite state.
+
+    Both are linear in ``rho``, so the moments of a mixture are the same
+    mixture of its components' moments.
+    """
     if not rho.is_bipartite:
         raise DimensionMismatchError("certification needs a bipartite state with dims (d_a, d_b)")
     if (rho.dim_a, rho.dim_b) != (joint.dim_a, joint.dim_b):
@@ -207,14 +214,38 @@ def certify(rho: DensityMatrix, joint: JointOperatorSet) -> LurCertificate:
     vec_a, vec_b, sq_a, sq_b = joint.trace_rows
     mean = real_part(vec_a @ rho_a + vec_b @ rho_b)
     second = real_part(sq_a @ rho_a + sq_b @ rho_b + 2 * ((vec_a @ pairs) * vec_b).sum(axis=1))
+    return mean, second
+
+
+class Score(NamedTuple):
+    """The certificate arithmetic on a pair of moment rows."""
+
+    per_component: tuple[float, ...]
+    total: float
+    relative_violation: float
+    entangled: bool
+
+
+def score(moments, joint: JointOperatorSet) -> Score:
+    """Clipped variances <J_i^2> - <J_i>^2, their total, C and the verdict,
+    from the pair (<J_i>, <J_i^2>) that ``joint_moments`` returns or any
+    array of two such rows."""
+    mean, second = moments
     per_component = tuple(clip_variance(v) for v in (second - mean * mean).tolist())
     total = sum(per_component)
+    limit = joint.local_limit
+    return Score(per_component, total, 1.0 - total / limit, total < limit - VERDICT_MARGIN)
+
+
+def certify(rho: DensityMatrix, joint: JointOperatorSet) -> LurCertificate:
+    """Evaluate the local uncertainty relation on a bipartite state."""
+    per_component, total, relative_violation, entangled = score(joint_moments(rho, joint), joint)
     return LurCertificate(
         per_component=per_component,
         total=total,
         local_limit=joint.local_limit,
-        relative_violation=1.0 - total / joint.local_limit,
-        entangled=total < joint.local_limit - VERDICT_MARGIN,
+        relative_violation=relative_violation,
+        entangled=entangled,
         bound_provenance=joint.bound_provenance,
         relation_label=joint.label,
         state=rho,

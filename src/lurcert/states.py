@@ -348,6 +348,45 @@ def x_decoherence_mixture(p_d, tolerances: Tolerances | None = None) -> DensityM
     return DensityMatrix(matrix, (3, 3), tolerances)
 
 
+def family_components(
+    kind: str, spin: SpinQuantum | None = None, tolerances: Tolerances | None = None
+) -> tuple[DensityMatrix, ...]:
+    """The fixed states that every member of family ``kind`` mixes, each
+    validated under ``tolerances``: the spin-``spin`` singlet and the
+    maximally mixed N x N state (``white``), the spin-1 singlet and the
+    three anticorrelated L_x product states (``xdecoherence``), and the
+    Bell states S, T1, T2, T3 (``bell``).
+
+    A member is sum_k w_k * components[k] with w = ``family_weights``.
+    """
+    if kind == "white":
+        n = spin.dim
+        return singlet_state(spin, tolerances), maximally_mixed((n, n), tolerances)
+    if kind == "xdecoherence":
+        return (
+            singlet_state(SpinQuantum(2), tolerances),
+            *(DensityMatrix(p, (3, 3), tolerances) for p in _X_PRODUCT_PROJECTORS),
+        )
+    if kind == "bell":
+        return tuple(bell_states(tolerances).values())
+    raise InvalidParameterError(f"unknown family kind {kind!r}")
+
+
+def family_weights(kind: str, params) -> tuple[float, ...]:
+    """The weights of ``family_components(kind)`` in the member built from
+    the constructor arguments ``params`` (``(spin, p_w)``, ``(p_d,)`` or
+    ``(p_s, p_1, p_2, p_3)``), checked as the constructor checks them."""
+    if kind == "white":
+        p_w = _check_fraction(params[1], "p_w")
+        return 1 - p_w, p_w
+    if kind == "xdecoherence":
+        p_d = _check_fraction(params[0], "p_d")
+        return 1 - p_d, p_d / 3, p_d / 3, p_d / 3
+    if kind == "bell":
+        return _check_probabilities(params, what="Bell weights")
+    raise InvalidParameterError(f"unknown family kind {kind!r}")
+
+
 def min_uncertainty_state_n3(phi: float) -> PureState:
     """Three-level state attaining the two-component bound 7/16:
     (sqrt(5)/4) e^{-i phi} |-1> + (sqrt(6)/4) |0> + (sqrt(5)/4) e^{+i phi} |+1>.

@@ -98,3 +98,41 @@ def test_tolerances_from_env_refuses_non_finite_and_non_positive(raw, monkeypatc
     monkeypatch.setenv(linalg.ENV_TOLERANCE_VAR, raw)
     with pytest.raises(InvalidParameterError, match=linalg.ENV_TOLERANCE_VAR):
         linalg.Tolerances.from_env()
+
+
+def _difference_deviation(a):
+    """The deviation as ``a - a^H`` with fresh temporaries: the reference
+    for the in-place evaluation."""
+    return float(np.abs(a - a.conj().T).max())
+
+
+def _layouts(a):
+    """``a`` C-ordered and Fortran-ordered, and for a real ``a`` also the
+    strided real view of complex storage that validation checks a real
+    state through."""
+    yield np.ascontiguousarray(a)
+    yield np.asfortranarray(a)
+    if not np.iscomplexobj(a):
+        yield np.array(a, dtype=complex).real
+
+
+@pytest.mark.parametrize("dim", [2, 4, 9, 16, 144])
+@pytest.mark.parametrize("real", [True, False])
+def test_hermiticity_deviation_is_the_difference_deviation(dim, real):
+    # the deviation is printed in the not-hermitian message, so it must be
+    # the same float, on either side of the tolerance
+    rng = np.random.default_rng([dim, real])
+    g = rng.standard_normal((dim, dim))
+    if not real:
+        g = g + 1j * rng.standard_normal((dim, dim))
+    h = (g + g.conj().T) / 2
+    tol = linalg.DEFAULT_TOLERANCES.hermiticity
+    for skew in (0.5 * tol, 2 * tol):
+        a = h + 1e-13 * rng.standard_normal((dim, dim))
+        a[0, 1] += skew
+        for layout in _layouts(a):
+            before = layout.copy()
+            dev = linalg.hermiticity_deviation(layout)
+            assert dev == _difference_deviation(layout)
+            assert (dev > tol) == (skew > tol)
+            assert np.array_equal(layout, before)
