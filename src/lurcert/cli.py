@@ -144,7 +144,7 @@ def _is_finite(x: int | float) -> bool:
 
 
 def _matrix_to_rows(m: np.ndarray) -> list:
-    return [[[z.real, z.imag] for z in row] for row in m]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def _resolve_joint(relation: str, rho: DensityMatrix) -> JointOperatorSet:

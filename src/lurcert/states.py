@@ -105,7 +105,9 @@ class DensityMatrix:
                     f"state is not positive semidefinite: min eigenvalue {least:.3e}"
                 ) from None
 
-        m = np.array(m, dtype=complex)
+        # C-ordered, whatever the input's layout, so that the codec can view
+        # each row as its (re, im) doubles
+        m = np.array(m, dtype=complex, order="C")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
@@ -448,12 +450,13 @@ def random_product_state(
 
 
 def state_to_json(state: DensityMatrix) -> str:
-    rows = []
-    for row in state.matrix:
-        cells = ",".join(f"[{z.real + 0.0:.17g},{z.imag + 0.0:.17g}]" for z in row)
-        rows.append(f"[{cells}]")
+    # (re, im) doubles of each row, negative zeros turned to 0 by the + 0.0;
+    # one % pass formats a row, so the text is built a row at a time
+    doubles = state.matrix.view(float) + 0.0
+    template = "[" + ",".join(["[%.17g,%.17g]"] * len(doubles)) + "]"
+    rows = ",".join([template % tuple(row.tolist()) for row in doubles])
     dims = ",".join(str(d) for d in state.dims)
-    return f'{{"dims":[{dims}],"matrix":[{",".join(rows)}]}}'
+    return f'{{"dims":[{dims}],"matrix":[{rows}]}}'
 
 
 def read_utf8(path, prefix: str = "") -> str:
@@ -496,13 +499,25 @@ def matrix_from_rows(rows, size: int, what: str, error: type[Exception]) -> np.n
     The one matrix codec of the state, bound and operator files; any
     departure from the schema raises ``error`` naming ``what``.  Every row
     is checked before the matrix is allocated, so memory follows the cells
-    actually present, whatever ``size`` claims.
+    actually present, whatever ``size`` claims.  A matrix of JSON numbers
+    is converted by one typed conversion; only input that is refused is
+    scanned cell by cell, to name its first bad entry in row-major order.
     """
     if not isinstance(rows, list) or len(rows) != size:
         raise error(f"{what} must be a list of {size} rows")
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != size:
             raise error(f"{what} row {i} must have {size} entries")
+    leaves = [
+        x for row in rows for cell in row if type(cell) is list and len(cell) == 2 for x in cell
+    ]
+    if len(leaves) == 2 * size * size and set(map(type, leaves)) <= {int, float}:
+        try:
+            # a view, not re + 1j * im, which would turn -0.0 into 0.0 and
+            # inf into nan
+            return np.array(leaves, dtype=float).view(complex).reshape(size, size)
+        except OverflowError:  # an integer beyond the float range
+            pass
     matrix = np.zeros((size, size), dtype=complex)
     for i, row in enumerate(rows):
         for j, cell in enumerate(row):

@@ -129,3 +129,18 @@ PINNED_SINGLET_DIGEST = "b9e2fa9fbdbaa07433141eb30ca072a1d5b9409a965ea248abc2556
 def test_state_digest_is_pinned():
     # the spin-1/2 singlet holds negative zeros, so this also pins their text
     assert singlet_state(SpinQuantum(1)).digest == PINNED_SINGLET_DIGEST
+
+
+PINNED_COMPLEX_TEXT = (
+    '{"dims":[2],"matrix":[[[0.66666666666666663,0],[0.10000000000000001,-4.9406564584124654e-324]],'
+    '[[0.10000000000000001,4.9406564584124654e-324],[0.33333333333333331,0]]]}'
+)
+PINNED_COMPLEX_DIGEST = "915dd55b035218803ae8da10672ff1fe684866b94e48bbe43f602e2d38ce4214"
+
+
+def test_complex_state_text_and_digest_are_pinned():
+    # imaginary cells, 17-digit cells, subnormals and a negative zero
+    # written as 0, in one state
+    rho = validate([[complex(2 / 3, -0.0), 0.1 - 5e-324j], [0.1 + 5e-324j, 1 / 3]], (2,))
+    assert state_to_json(rho) == PINNED_COMPLEX_TEXT
+    assert rho.digest == PINNED_COMPLEX_DIGEST
