@@ -9,6 +9,7 @@ independent cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,12 @@ _ACTIVE = -1
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Deterministic search configuration; a fixed seed fixes the run."""
+    """Deterministic search configuration; a fixed seed fixes the run.
+
+    All starts come from the one stream ``np.random.default_rng(rng_seed)``:
+    restart r starts from the r-th group of 2d standard normals, so the
+    starts of ``restarts=R`` are the first R starts of any larger run.
+    """
 
     restarts: int = 64
     rng_seed: int = 0
@@ -93,104 +99,121 @@ class SearchResult:
 
 
 def _operator_stack(operator_set: OperatorSet) -> np.ndarray:
-    """(k+1, d, d) stack: sum_i A_i^2, then the A_i."""
+    """(k+1, 2d, 2d) real stack: S = sum_i A_i^2, then the A_i.
+
+    The search works in the real coordinates x = [Re psi; Im psi] of a
+    state vector psi.  There a Hermitian A acts as the real symmetric block
+    [[Re A, -Im A], [Im A, Re A]], and x . (block x) = <psi|A|psi>.
+    """
     ops = np.stack(list(operator_set))
-    return np.concatenate([(ops @ ops).sum(axis=0)[None], ops])
+    ops = np.concatenate([(ops @ ops).sum(axis=0)[None], ops])
+    return np.block([[ops.real, -ops.imag], [ops.imag, ops.real]])
 
 
-def _evaluate(stack: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Uncertainty sums and tangent gradients of the columns of ``psi``.
+def _evaluate(stack: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Uncertainty sums and tangent gradients of the columns of ``x``.
 
     f = <S> - sum_i <A_i>^2 with S = sum_i A_i^2, and the gradient
-    2 S psi - 4 sum_i <A_i> A_i psi is projected onto the tangent space of
+    2 S x - 4 sum_i <A_i> A_i x is projected onto the tangent space of
     the unit sphere; its global-phase component vanishes identically
-    because f is phase invariant.
+    because f is phase invariant.  The k+1 blocks act in one matmul.
     """
-    bra = psi.conj()
-    images = stack @ psi
-    values = np.einsum("dr,kdr->kr", bra, images).real
+    size = stack.shape[1]
+    images = (stack.reshape(-1, size) @ x).reshape(len(stack), size, -1)
+    values = np.einsum("dr,kdr->kr", x, images)
     means = values[1:]
     f = values[0] - np.einsum("kr,kr->r", means, means)
     grad = 2.0 * images[0] - 4.0 * np.einsum("kr,kdr->dr", means, images[1:])
-    grad -= np.einsum("dr,dr->r", bra, grad).real * psi
+    grad -= np.einsum("dr,dr->r", x, grad) * x
     return f, grad
 
 
-def _minimize_block(stack: np.ndarray, psi: np.ndarray, history=None):
-    """Projected-gradient descent on every column of the (dim, R) block ``psi``.
+def _minimize_block(stack: np.ndarray, x: np.ndarray, history=None):
+    """Projected-gradient descent on every column of the (2d, R) block ``x``
+    of real coordinates.
 
     Each column follows the single-start rules on its own: a Barzilai-Borwein
     trial step capped at ``INITIAL_STEP``, Armijo backtracking until the
     demanded decrease rounds away or the step falls below ``MIN_STEP``, the
-    gradient-tolerance stop, the stall window and ``MAX_ITERATIONS``.  A
-    column retires when it stops, and each iteration works on the active
-    columns only.  ``history``, if given, receives the (R,) array of current
-    values once at the start and after every iteration.  Returns (minima,
-    final block, stop reason per column).
+    gradient-tolerance stop, the stall window and ``MAX_ITERATIONS``.  Each
+    iteration evaluates the first trials of all columns in one batch and
+    backtracks only the columns that fail the Armijo test; a column that
+    stops keeps its last point and leaves the block.  ``history``, if
+    given, receives the (R,) array of current values once at the start and
+    after every iteration.  Returns (minima, final block, stop reason per
+    column).
     """
-    f, grad = _evaluate(stack, psi)
+    f, grad = _evaluate(stack, x)
     minima = f.copy()
-    final = psi.copy()
-    reasons = np.full(psi.shape[1], _MAX_ITERATIONS)
-    cols = np.arange(psi.shape[1])
-    spectral = np.full(cols.size, INITIAL_STEP)
+    final = x.copy()
+    reasons = np.full(f.size, _MAX_ITERATIONS)
+    cols = np.arange(f.size)
+    grad_sq = np.einsum("dr,dr->r", grad, grad)
+    step = np.full(f.size, INITIAL_STEP)
     anchor = f
     if history is not None:
         history.append(minima.copy())
     for iteration in range(1, MAX_ITERATIONS + 1):
-        grad_sq = np.einsum("dr,dr->r", grad.conj(), grad).real
-        step = np.minimum(spectral, INITIAL_STEP)
-        reason = np.where(np.sqrt(grad_sq) < GRADIENT_TOLERANCE, _GRADIENT, _ACTIVE)
-        # no descent left at floating-point resolution
-        reason[(reason == _ACTIVE) & (step < MIN_STEP)] = _LINE_SEARCH
-        new_psi, new_f, new_grad = psi.copy(), f.copy(), grad.copy()
-        pending = np.flatnonzero(reason == _ACTIVE)
-        while pending.size:
-            trial = psi[:, pending] - step[pending] * grad[:, pending]
-            trial /= np.linalg.norm(trial, axis=0)
-            f_trial, grad_trial = _evaluate(stack, trial)
-            ok = f_trial <= f[pending] - ARMIJO * step[pending] * grad_sq[pending]
-            done = pending[ok]
-            new_psi[:, done] = trial[:, ok]
-            new_f[done] = f_trial[ok]
-            new_grad[:, done] = grad_trial[:, ok]
-            pending = pending[~ok]
-            step[pending] *= STEP_SHRINK
+        reason = np.full(cols.size, _ACTIVE)
+        # the stops before a trial, tested on the extreme columns first
+        if math.sqrt(grad_sq.min()) < GRADIENT_TOLERANCE or step.min() < MIN_STEP:
+            reason[np.sqrt(grad_sq) < GRADIENT_TOLERANCE] = _GRADIENT
+            # no descent left at floating-point resolution
+            reason[(reason == _ACTIVE) & (step < MIN_STEP)] = _LINE_SEARCH
+        # Every column takes its first trial in one batch; a column that
+        # stopped gets its point back below.
+        new_x = x - step * grad
+        new_x /= np.sqrt(np.einsum("dr,dr->r", new_x, new_x))
+        new_f, new_grad = _evaluate(stack, new_x)
+        target = f - ARMIJO * step * grad_sq
+        retry = np.flatnonzero(~(new_f <= target) & (reason == _ACTIVE))
+        trial_step = step[retry]
+        while retry.size:
+            trial_step = trial_step * STEP_SHRINK
             # the next Armijo target rounds to f, so no decrease it asks for shows
-            target = f[pending] - ARMIJO * step[pending] * grad_sq[pending]
-            exhausted = (step[pending] < MIN_STEP) | (target == f[pending])
-            reason[pending[exhausted]] = _LINE_SEARCH
-            pending = pending[~exhausted]
-        move = new_psi - psi
-        curvature = np.einsum("dr,dr->r", move.conj(), new_grad - grad).real
-        spectral = np.full(cols.size, INITIAL_STEP)
-        np.divide(
-            np.einsum("dr,dr->r", move.conj(), move).real, curvature,
-            out=spectral, where=curvature > 0,
-        )
-        psi, f, grad = new_psi, new_f, new_grad
-        minima[cols] = f
+            target = f[retry] - ARMIJO * trial_step * grad_sq[retry]
+            exhausted = (trial_step < MIN_STEP) | (target == f[retry])
+            if exhausted.any():
+                reason[retry[exhausted]] = _LINE_SEARCH
+                going = ~exhausted
+                retry, trial_step, target = retry[going], trial_step[going], target[going]
+                if not retry.size:
+                    break
+            trial = x[:, retry] - trial_step * grad[:, retry]
+            trial /= np.sqrt(np.einsum("dr,dr->r", trial, trial))
+            f_trial, grad_trial = _evaluate(stack, trial)
+            new_x[:, retry], new_f[retry], new_grad[:, retry] = trial, f_trial, grad_trial
+            going = ~(f_trial <= target)
+            retry, trial_step, target = retry[going], trial_step[going], target[going]
+        held = np.flatnonzero(reason != _ACTIVE)
+        if held.size:
+            new_x[:, held], new_f[held], new_grad[:, held] = x[:, held], f[held], grad[:, held]
+        move = new_x - x
+        curvature = np.einsum("dr,dr->r", move, new_grad - grad)
+        step = np.full(cols.size, INITIAL_STEP)
+        np.divide(np.einsum("dr,dr->r", move, move), curvature, out=step, where=curvature > 0)
+        np.minimum(step, INITIAL_STEP, out=step)
+        x, f, grad = new_x, new_f, new_grad
+        grad_sq = np.einsum("dr,dr->r", grad, grad)
         if history is not None:
+            minima[cols] = f
             history.append(minima.copy())
         if iteration % STALL_WINDOW == 0:
             reason[(reason == _ACTIVE) & (anchor - f < STALL_DECREASE)] = _STALL
             anchor = f
-        stopped = reason != _ACTIVE
-        if stopped.any():
-            final[:, cols[stopped]] = psi[:, stopped]
-            reasons[cols[stopped]] = reason[stopped]
-            keep = ~stopped
-            cols, psi, f, grad = cols[keep], psi[:, keep], f[keep], grad[:, keep]
-            spectral, anchor = spectral[keep], anchor[keep]
+            held = np.flatnonzero(reason != _ACTIVE)
+        if held.size:
+            minima[cols[held]] = f[held]
+            final[:, cols[held]] = x[:, held]
+            reasons[cols[held]] = reason[held]
+            keep = reason == _ACTIVE
+            cols, x, f, grad = cols[keep], x[:, keep], f[keep], grad[:, keep]
+            grad_sq, step, anchor = grad_sq[keep], step[keep], anchor[keep]
             if not cols.size:
                 break
-    final[:, cols] = psi
+    minima[cols] = f
+    final[:, cols] = x
     return minima, final, [STOP_REASONS[r] for r in reasons]
-
-
-def _random_start(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
 
 
 def minimize_sum_uncertainty(
@@ -198,38 +221,43 @@ def minimize_sum_uncertainty(
 ) -> SearchResult:
     """Minimize the uncertainty sum of ``operator_set`` over pure states.
 
-    The run is fully deterministic for a fixed config: restart r draws its
-    start from the stream seeded by (rng_seed, r), and the best restart
-    (the first at the lowest minimum) is reported together with how many
-    restarts agreed with it.  Restarts descend together in blocks of
-    ``RESTART_BLOCK`` columns.
+    The run is fully deterministic for a fixed config.  Every start comes
+    from the one stream ``np.random.default_rng(rng_seed)``: restart r takes
+    the r-th group of 2d standard normals, d real parts then d imaginary
+    parts, normalized, so the starts of R restarts are the first R starts of
+    any larger run.  Restarts descend together in blocks of
+    ``RESTART_BLOCK`` columns, and each block draws its starts in one call
+    that continues the stream where the previous block stopped.  The best
+    restart (the first at the lowest minimum) is reported together with how
+    many restarts agreed with it.
     """
     config = config or SearchConfig()
     stack = _operator_stack(operator_set)
     dim = operator_set.dim
+    rng = np.random.default_rng(config.rng_seed)
 
     minima = []
     stops = []
     best_f = np.inf
-    best_psi = None
+    best_x = None
     for first in range(0, config.restarts, RESTART_BLOCK):
-        block = range(first, min(first + RESTART_BLOCK, config.restarts))
-        starts = np.stack(
-            [_random_start(dim, np.random.default_rng([config.rng_seed, r])) for r in block],
-            axis=1,
-        )
-        f, psi, block_stops = _minimize_block(stack, starts)
+        count = min(RESTART_BLOCK, config.restarts - first)
+        starts = rng.standard_normal((count, 2, dim)).reshape(count, -1)
+        # normalized row by row, so each start's rounding is the same
+        # whatever the block's width
+        starts /= np.linalg.norm(starts, axis=1, keepdims=True)
+        f, x, block_stops = _minimize_block(stack, np.ascontiguousarray(starts.T))
         minima.extend(f.tolist())
         stops.extend(block_stops)
         j = int(np.argmin(f))
         if f[j] < best_f:
             best_f = float(f[j])
-            best_psi = psi[:, j]
+            best_x = x[:, j]
 
     agreeing = sum(1 for f in minima if f - best_f < AGREEMENT_WINDOW)
     return SearchResult(
         minimum=best_f,
-        argmin=PureState.normalized(best_psi).phase_normalized(),
+        argmin=PureState.normalized(best_x[:dim] + 1j * best_x[dim:]).phase_normalized(),
         restart_minima=tuple(minima),
         restart_stops=tuple(stops),
         restarts_agreeing=agreeing,

@@ -19,7 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .linalg import InvalidParameterError, LurcertError, Tolerances, ensure_hermitian
+from .linalg import (
+    BoundFileError,
+    InvalidParameterError,
+    LurcertError,
+    Tolerances,
+    ensure_hermitian,
+)
 from .lur import (
     JointOperatorSet,
     RELATION_KINDS,
@@ -157,6 +163,14 @@ def _resolve_joint(relation: str, rho: DensityMatrix) -> JointOperatorSet:
             f"relation {relation!r} is neither a catalog kind {RELATION_KINDS} nor a bound file"
         )
     doc = parse_json(read_utf8(path))
+    try:
+        return _joint_from_bound_doc(doc, label=str(path))
+    except InvalidParameterError as exc:
+        # any schema or value fault here is the file's
+        raise BoundFileError(str(exc)) from exc
+
+
+def _joint_from_bound_doc(doc, label: str) -> JointOperatorSet:
     if not isinstance(doc, dict):
         raise InvalidParameterError("bound file must be a JSON object")
     if "side_a" in doc or "side_b" in doc:
@@ -166,7 +180,7 @@ def _resolve_joint(relation: str, rho: DensityMatrix) -> JointOperatorSet:
         rel_b = _load_relation_side(doc["side_b"], "side_b")
     else:
         rel_a = rel_b = _load_relation_side(doc, "bound file")
-    return joint_from_relations(rel_a, rel_b, label=str(path))
+    return joint_from_relations(rel_a, rel_b, label=label)
 
 
 def cmd_certify(args) -> int:

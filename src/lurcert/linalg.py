@@ -34,6 +34,12 @@ class InvalidParameterError(LurcertError):
     code = "invalid-parameter"
 
 
+class BoundFileError(InvalidParameterError):
+    """A bound file breaks its schema or holds an invalid relation."""
+
+    code = "bound-file"
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Validation tolerances, centralized so there is a single knob.

@@ -64,6 +64,16 @@ class JointOperatorSet:
             row.setflags(write=False)
         return rows
 
+    @cached_property
+    def guard_scales(self) -> tuple[float, ...]:
+        """max(1, (||A_i|| + ||B_i||)^2) per component, with Frobenius norms:
+        a bound on the size of <J_i^2>, by which the imaginary-part guard
+        and the variance floor of the moments scale."""
+        norm_a, norm_b = (
+            np.linalg.norm(np.array(s.operators), axis=(1, 2)) for s in (self.set_a, self.set_b)
+        )
+        return tuple(np.maximum(1.0, (norm_a + norm_b) ** 2).tolist())
+
 
 def build_joint(
     set_a: OperatorSet,
@@ -212,8 +222,11 @@ def joint_moments(
     rho_b = np.trace(r, axis1=0, axis2=2).reshape(-1)
     pairs = r.transpose(0, 2, 1, 3).reshape(da * da, db * db)
     vec_a, vec_b, sq_a, sq_b = joint.trace_rows
-    mean = real_part(vec_a @ rho_a + vec_b @ rho_b)
-    second = real_part(sq_a @ rho_a + sq_b @ rho_b + 2 * ((vec_a @ pairs) * vec_b).sum(axis=1))
+    scales = joint.guard_scales
+    mean = real_part(vec_a @ rho_a + vec_b @ rho_b, scales)
+    second = real_part(
+        sq_a @ rho_a + sq_b @ rho_b + 2 * ((vec_a @ pairs) * vec_b).sum(axis=1), scales
+    )
     return mean, second
 
 
@@ -231,7 +244,11 @@ def score(moments, joint: JointOperatorSet) -> Score:
     from the pair (<J_i>, <J_i^2>) that ``joint_moments`` returns or any
     array of two such rows."""
     mean, second = moments
-    per_component = tuple(clip_variance(v) for v in (second - mean * mean).tolist())
+    # only a negative variance needs the clip and its scale
+    per_component = tuple(
+        v if v >= 0 else clip_variance(v, s)
+        for v, s in zip((second - mean * mean).tolist(), joint.guard_scales)
+    )
     total = sum(per_component)
     limit = joint.local_limit
     return Score(per_component, total, 1.0 - total / limit, total < limit - VERDICT_MARGIN)

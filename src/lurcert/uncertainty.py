@@ -27,7 +27,8 @@ from .spin_ops import (
 from .states import DensityMatrix
 
 # Traces of Hermitian products are real; larger imaginary parts mean the
-# inputs are corrupted, not rounding noise.
+# inputs are corrupted, not rounding noise.  Both limits are for operators
+# of norm about 1, and callers scale them by the size of the traces.
 _IMAG_GUARD = 1e-10
 _VARIANCE_FLOOR = -1e-12
 
@@ -35,11 +36,15 @@ ANALYTIC = "analytic"
 NUMERICALLY_CERTIFIED = "numerically-certified"
 
 
-def real_part(traces):
+def real_part(traces, scale=1.0):
     """Real part of a trace, or an array of traces, of Hermitian products;
-    raises when an imaginary part exceeds the rounding guard."""
-    worst = np.abs(np.imag(traces)).max()
-    if worst > _IMAG_GUARD:
+    raises when an imaginary part exceeds the rounding guard, 1e-10 times
+    ``scale``.  ``scale`` is at least 1, one value for all traces or one
+    per trace."""
+    imag = np.abs(np.imag(traces))
+    worst = imag.max()
+    # a guard scaled by at least 1 is never below the unscaled one
+    if worst > _IMAG_GUARD and (imag > _IMAG_GUARD * np.asarray(scale)).any():
         raise linalg.LurcertError(
             f"trace has non-negligible imaginary part {worst:.3e}; inputs look corrupted"
         )
@@ -50,10 +55,11 @@ def _real_trace(product: np.ndarray) -> float:
     return float(real_part(np.trace(product)))
 
 
-def clip_variance(value: float) -> float:
-    """Clip a variance within -1e-12 of zero to zero; raise below that."""
+def clip_variance(value: float, scale: float = 1.0) -> float:
+    """Clip a variance within 1e-12 times ``scale`` below zero to zero;
+    raise below that."""
     if value < 0:
-        if value < _VARIANCE_FLOOR:
+        if value < _VARIANCE_FLOOR * scale:
             raise linalg.LurcertError(
                 f"variance {value:.3e} is negative beyond tolerance; inputs look corrupted"
             )

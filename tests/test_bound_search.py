@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lurcert import bound_search
 from lurcert.bound_search import (
@@ -10,7 +14,6 @@ from lurcert.bound_search import (
     _evaluate,
     _minimize_block,
     _operator_stack,
-    _random_start,
     brute_force_minimum,
     certify_bound,
     minimize_sum_uncertainty,
@@ -21,6 +24,13 @@ from lurcert.states import min_uncertainty_state_n3
 from lurcert.uncertainty import catalog_bound, sum_uncertainty
 
 FAST = SearchConfig(restarts=16)
+
+
+def block_starts(rng, count, dim):
+    """The next ``count`` starts of a search's stream in real coordinates:
+    restart r is the r-th group of 2 * dim standard normals, normalized."""
+    x = rng.standard_normal((count, 2, dim)).reshape(count, -1)
+    return np.ascontiguousarray((x / np.linalg.norm(x, axis=1, keepdims=True)).T)
 
 
 def grid_error(op_set, resolution):
@@ -73,9 +83,7 @@ def test_search_is_deterministic():
 def test_descent_is_monotone():
     op_set = spin_subset(SpinQuantum(2), "xy")
     config = SearchConfig()
-    starts = np.stack(
-        [_random_start(3, np.random.default_rng([0, r])) for r in range(config.restarts)], axis=1
-    )
+    starts = block_starts(np.random.default_rng(0), config.restarts, 3)
     history = []
     _minimize_block(_operator_stack(op_set), starts, history=history)
     values = np.array(history)
@@ -94,9 +102,11 @@ def test_restarts_cross_block_boundary():
     assert (np.abs(first - short.restart_minima) <= 1e-12 * np.abs(first)).all()
     assert long.restart_converged[:16] == short.restart_converged
     assert long.minimum <= short.minimum
-    # the second block continues the streams at (rng_seed, 64), not at (rng_seed, 0)
-    second = range(RESTART_BLOCK, RESTART_BLOCK + 16)
-    tail = np.stack([_random_start(op_set.dim, np.random.default_rng([0, r])) for r in second], axis=1)
+    # the second block continues the stream after the first block's 64
+    # starts, not from the stream's beginning
+    rng = np.random.default_rng(0)
+    block_starts(rng, RESTART_BLOCK, op_set.dim)
+    tail = block_starts(rng, 16, op_set.dim)
     minima, _, _ = _minimize_block(_operator_stack(op_set), tail)
     assert minima.tolist() == list(long.restart_minima[RESTART_BLOCK:])
 
@@ -105,9 +115,7 @@ def test_restarts_cross_block_boundary():
 def settled_block():
     """The final block of a 64-restart spin:xy descent at l = 2, seed 1."""
     stack = _operator_stack(spin_subset(SpinQuantum(4), "xy"))
-    starts = np.stack(
-        [_random_start(5, np.random.default_rng([1, r])) for r in range(RESTART_BLOCK)], axis=1
-    )
+    starts = block_starts(np.random.default_rng(1), RESTART_BLOCK, 5)
     minima, final, stops = _minimize_block(stack, starts)
     return stack, minima, final, stops
 
@@ -265,3 +273,39 @@ def test_search_agrees_with_brute_force(label, relation):
 def test_search_config_validation():
     with pytest.raises(InvalidParameterError):
         SearchConfig(restarts=0)
+
+
+@settings(max_examples=20, deadline=None)
+# a lone start must round as the same start does in a block of 65
+@example(dim=7, count=1, set_seed=0, restarts=1, seed=1)
+@given(st.integers(2, 8), st.integers(1, 3), st.integers(0, 2**32 - 1),
+       st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_search_output_properties(dim, count, set_seed, restarts, seed):
+    rng = np.random.default_rng(set_seed)
+    ops = []
+    for _ in range(count):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        ops.append((g + g.conj().T) / 2)
+    op_set = OperatorSet("random", tuple(ops))
+    scale = sum(np.linalg.norm(a, 2) ** 2 for a in ops)
+
+    def run(restarts):
+        with mock.patch.object(
+            bound_search, "_minimize_block", wraps=bound_search._minimize_block
+        ) as spy:
+            res = minimize_sum_uncertainty(op_set, SearchConfig(restarts=restarts, rng_seed=seed))
+        return res, np.concatenate([call.args[1] for call in spy.call_args_list], axis=1)
+
+    res, starts = run(restarts)
+    # the reported minimum is the sum at the reported state
+    assert abs(res.minimum - sum_uncertainty(res.argmin.projector(), op_set)) <= 1e-12 * scale
+    # R restarts start where the first R of a longer run start
+    _, longer = run(restarts + RESTART_BLOCK)
+    assert starts.shape == (2 * dim, restarts)
+    assert np.array_equal(longer[:, :restarts], starts)
+    # a rerun is bit-identical
+    again, again_starts = run(restarts)
+    assert np.array_equal(again_starts, starts)
+    assert again.restart_minima == res.restart_minima
+    assert again.restart_stops == res.restart_stops
+    assert np.array_equal(again.argmin.amplitudes, res.argmin.amplitudes)

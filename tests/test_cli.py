@@ -383,7 +383,7 @@ def test_malformed_bound_file_is_a_structured_error(name, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     errors = [line for line in captured.err.splitlines() if "error[" in line]
-    assert len(errors) == 1 and errors[0].startswith("error[invalid-parameter]:"), captured.err
+    assert len(errors) == 1 and errors[0].startswith("error[bound-file]:"), captured.err
     assert "Traceback" not in captured.err
     assert "ENTANGLED" not in captured.out
 
@@ -395,6 +395,32 @@ def test_wellformed_bound_file_certifies(tmp_path, capsys):
     run("state-gen", "--kind", "singlet", "--two-l", "1", "--out", str(state))
     assert run("certify", "--state", str(state), "--relation", str(bound_path)) == 3
     assert "bounds analytic, analytic" in capsys.readouterr().out
+
+
+def scaled_spin1_xy_bound_file(path, scale):
+    """A bound file of spin-1 L_x, L_y times ``scale``, at 7/16 scale^2."""
+    ops = [scale * a for a in lurcert.spin_subset(SpinQuantum(2), "xy")]
+    doc = {"label": "xy", "dim": 3, "bound": 0.4375 * scale**2, "provenance": "numerically-certified",
+           "operators": [np.stack([a.real, a.imag], -1).tolist() for a in ops]}
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("scale", [1e5, 1e6, 1e7])
+def test_large_operator_bound_file_certifies_as_unscaled(scale, tmp_path, capsys):
+    # the traces of these operators carry imaginary rounding of 1e-7 to
+    # 1e-3, so the imaginary-part guard must scale with the operators
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    state = tmp_path / "state.json"
+    write_state(DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T).real, (3, 3)), state)
+    violations = []
+    for s in (1.0, scale):
+        scaled_spin1_xy_bound_file(tmp_path / "bound.json", s)
+        assert run("certify", "--state", str(state), "--relation", str(tmp_path / "bound.json")) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        violations.append(float(captured.out.split("relative violation C:")[1].split()[0]))
+    assert abs(violations[1] - violations[0]) <= 1e-9
 
 
 def test_search_bound_operator_file(tmp_path, capsys):

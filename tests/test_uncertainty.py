@@ -4,6 +4,7 @@ import pytest
 from lurcert.linalg import (
     DimensionMismatchError,
     InvalidParameterError,
+    LurcertError,
     NotHermitianError,
 )
 from lurcert.spin_ops import SpinQuantum, spin_components, stokes_components
@@ -12,7 +13,9 @@ from lurcert.uncertainty import (
     ANALYTIC,
     CATALOG_KINDS,
     catalog_bound,
+    clip_variance,
     expectation,
+    real_part,
     sum_uncertainty,
     variance,
 )
@@ -173,3 +176,18 @@ def test_catalog_kind_list_is_complete():
         "spin2_N3",
         "stokes2_N3",
     }
+
+
+def test_guards_scale_with_the_traces():
+    traces = np.array([1.0 + 1e-6j, 2.0 - 1e-11j])
+    with pytest.raises(LurcertError, match="imaginary part 1.000e-06"):
+        real_part(traces)
+    with pytest.raises(LurcertError, match="imaginary part"):
+        real_part(traces, np.array([1e3, 1e5]))  # the guard of the first trace is 1e-7
+    assert np.array_equal(real_part(traces, np.array([1e5, 1.0])), [1.0, 2.0])
+    assert clip_variance(-1e-13) == 0.0
+    with pytest.raises(LurcertError, match="negative beyond tolerance"):
+        clip_variance(-1e-6)
+    assert clip_variance(-1e-6, 1e7) == 0.0
+    with pytest.raises(LurcertError, match="negative beyond tolerance"):
+        clip_variance(-1e-6, 1e5)
