@@ -62,6 +62,9 @@ class SearchConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise InvalidParameterError("restarts must be a positive integer")
+        # numpy refuses a negative seed with a bare ValueError
+        if self.rng_seed < 0:
+            raise InvalidParameterError(f"seed must be nonnegative, got {self.rng_seed}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -302,7 +302,9 @@ def cmd_search_bound(args) -> int:
         doc = {
             "label": op_set.label,
             "dim": op_set.dim,
-            "bound": result.minimum,
+            # a variance sum is never negative, so 0 bounds a minimum that
+            # rounding left below it
+            "bound": max(0.0, result.minimum),
             "provenance": NUMERICALLY_CERTIFIED,
             "operators": [_matrix_to_rows(op) for op in op_set],
             "lurcert_version": __version__,

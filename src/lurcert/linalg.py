@@ -98,8 +98,8 @@ def hermiticity_deviation(a: np.ndarray) -> float:
     return float(np.abs(d).max())
 
 
-def ensure_hermitian(a, tol: float | None = None, what: str = "matrix") -> np.ndarray:
-    tol = DEFAULT_TOLERANCES.hermiticity if tol is None else tol
+def ensure_hermitian(a, what: str = "matrix") -> np.ndarray:
+    tol = DEFAULT_TOLERANCES.hermiticity
     a = as_square_matrix(a)
     dev = hermiticity_deviation(a)
     if dev > tol:

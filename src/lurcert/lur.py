@@ -16,21 +16,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import DimensionMismatchError, InvalidParameterError
-from .spin_ops import OperatorSet, SpinQuantum, stokes_components
-from .states import (
-    DensityMatrix,
-    bell_mixture,
-    x_decoherence_mixture,
-    _check_probabilities,
-    _check_fraction,
-)
+from .spin_ops import OperatorSet, SpinQuantum
+from .states import DensityMatrix, _check_fraction, _check_probabilities
 from .uncertainty import UncertaintyRelation, catalog_bound, clip_variance, real_part
 
 # A state must undercut the local limit by this much before it is flagged;
 # false positives are the fatal error mode for a witness.
 VERDICT_MARGIN = 1e-9
-
-_CROSS_CHECK_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,27 +266,6 @@ def _transposed_rows(ops: np.ndarray) -> np.ndarray:
     return ops.transpose(0, 2, 1).reshape(len(ops), -1)
 
 
-def wootters_concurrence(rho: DensityMatrix) -> float:
-    """Concurrence of a 2x2 pair via the spin-flip construction.
-
-    C = max(0, l1 - l2 - l3 - l4) with l_k the descending square roots of
-    the eigenvalues of rho (sy x sy) rho* (sy x sy), conjugation taken in
-    the computational product basis.  Used as the independent oracle for
-    the entanglement content of Bell mixtures.
-    """
-    if rho.dims != (2, 2):
-        raise DimensionMismatchError(f"concurrence needs a 2x2 pair, got dims {rho.dims}")
-    sy = stokes_components(1).operators[1]
-    flip = np.kron(sy, sy)
-    # The square roots of eig(rho flip rho* flip) are the singular values of
-    # sqrt(rho) flip sqrt(rho)*, which avoids taking sqrt of noisy near-zero
-    # eigenvalues.
-    w, v = np.linalg.eigh(rho.matrix)
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    lam = np.linalg.svd(root @ flip @ root.conj(), compute_uv=False)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
-
-
 def closed_form_violation(kind: str, relation: str, params: tuple) -> float | None:
     """The paper's closed-form relative violation C of a family member, or
     None for a (kind, relation) pair without one.
@@ -327,115 +298,3 @@ def closed_form_violation(kind: str, relation: str, params: tuple) -> float | No
     else:
         raise InvalidParameterError(f"unknown family kind {kind!r}")
     return None
-
-
-@dataclass(frozen=True)
-class BellMixtureAnalysis:
-    """Relative violations and the concurrence formula for a Bell mixture.
-
-    ``c_s2`` uses only two measured components and is a lower estimate of
-    the concurrence; ``concurrence_formula`` = max(0, 2 p_S - 1) is exact
-    when the singlet weight dominates (p_S > 1/2).
-    """
-
-    c_s3: float
-    c_s2: float
-    concurrence_formula: float
-
-
-def bell_mixture_analysis(p_s, p_1, p_2, p_3) -> BellMixtureAnalysis:
-    """Closed-form violations for the Bell mixture, cross-checked against
-    direct certification of the constructed state."""
-    weights = (p_s, p_1, p_2, p_3)
-    c_s3 = closed_form_violation("bell", "s3", weights)
-    c_s2 = closed_form_violation("bell", "s2n2", weights)
-    rho = bell_mixture(*weights)
-    measured3 = certify(rho, joint_from_catalog("s3", 2, 2)).relative_violation
-    measured2 = certify(rho, joint_from_catalog("s2n2", 2, 2)).relative_violation
-    if abs(measured3 - c_s3) > _CROSS_CHECK_TOL or abs(measured2 - c_s2) > _CROSS_CHECK_TOL:
-        raise RuntimeError(
-            f"Bell-mixture closed forms disagree with direct certification: "
-            f"{measured3:.17g} vs {c_s3:.17g}, {measured2:.17g} vs {c_s2:.17g}"
-        )
-    return BellMixtureAnalysis(c_s3=c_s3, c_s2=c_s2, concurrence_formula=max(0.0, c_s3))
-
-
-@dataclass(frozen=True)
-class VisibilityRecord:
-    """Polarization visibilities, each in [-1, 1]; v3 may be absent."""
-
-    v1: float
-    v2: float
-    v3: float | None = None
-
-    def __post_init__(self):
-        for name in ("v1", "v2", "v3"):
-            v = getattr(self, name)
-            if v is None:
-                continue
-            if not -1.0 <= v <= 1.0:
-                raise InvalidParameterError(f"visibility {name} must lie in [-1, 1], got {v}")
-
-    def present(self) -> tuple[float, ...]:
-        return (self.v1, self.v2) if self.v3 is None else (self.v1, self.v2, self.v3)
-
-
-@dataclass(frozen=True)
-class VisibilityUncertainties:
-    """Joint uncertainties 2(1 - V_i) inferred from visibilities.
-
-    The mapping holds only for states without local polarization; the
-    caller asserts that and the assertion is recorded.
-    """
-
-    per_component: tuple[float, ...]
-    no_local_polarization_asserted: bool
-    concurrence_lower_bound: float
-
-
-def visibility_to_uncertainty(
-    record: VisibilityRecord, no_local_polarization: bool = True
-) -> VisibilityUncertainties:
-    """Map each visibility V_i to the joint uncertainty 2(1 - V_i) and
-    report the concurrence estimate V_1 + V_2 - 1."""
-    return VisibilityUncertainties(
-        per_component=tuple(2.0 * (1.0 - v) for v in record.present()),
-        no_local_polarization_asserted=bool(no_local_polarization),
-        concurrence_lower_bound=record.v1 + record.v2 - 1.0,
-    )
-
-
-def stokes_visibilities(rho: DensityMatrix) -> VisibilityRecord:
-    """Exact visibilities V_i = -<S_i(A) S_i(B)> of a 2x2 pair, the
-    normalized contrast between anti-correlated and correlated settings."""
-    if rho.dims != (2, 2):
-        raise DimensionMismatchError(f"visibilities need a 2x2 pair, got dims {rho.dims}")
-    values = []
-    for s in stokes_components(1):
-        corr = np.trace(rho.matrix @ np.kron(s, s)).real
-        values.append(-float(corr))
-    return VisibilityRecord(*values)
-
-
-@dataclass(frozen=True)
-class DecoherenceAnalysis:
-    """Relative violations for the spin-1 pair decohered in the L_x basis."""
-
-    c_l3: float
-    c_l2: float
-
-
-def decoherence_analysis(p_d) -> DecoherenceAnalysis:
-    """Closed forms C_L3 = 1 - (4/3) p_D and C_L2 = 1 - (32/21) p_D,
-    cross-checked against direct certification of the constructed state."""
-    c_l3 = closed_form_violation("xdecoherence", "l3", (p_d,))
-    c_l2 = closed_form_violation("xdecoherence", "l2n3", (p_d,))
-    rho = x_decoherence_mixture(p_d)
-    measured3 = certify(rho, joint_from_catalog("l3", 3, 3)).relative_violation
-    measured2 = certify(rho, joint_from_catalog("l2n3", 3, 3)).relative_violation
-    if abs(measured3 - c_l3) > _CROSS_CHECK_TOL or abs(measured2 - c_l2) > _CROSS_CHECK_TOL:
-        raise RuntimeError(
-            f"decoherence closed forms disagree with direct certification: "
-            f"{measured3:.17g} vs {c_l3:.17g}, {measured2:.17g} vs {c_l2:.17g}"
-        )
-    return DecoherenceAnalysis(c_l3=c_l3, c_l2=c_l2)

@@ -27,13 +27,6 @@ class SpinQuantum:
         if self.two_l < 0:
             raise InvalidParameterError(f"two_l must be nonnegative, got {self.two_l}")
 
-    @classmethod
-    def from_l(cls, l) -> "SpinQuantum":
-        two_l = round(2 * l)
-        if abs(2 * l - two_l) > 1e-12:
-            raise InvalidParameterError(f"l must be a half-integer, got {l!r}")
-        return cls(two_l)
-
     @property
     def l(self) -> float:
         return self.two_l / 2
@@ -149,16 +142,3 @@ def _pick(full: OperatorSet, names: str, table: dict[str, int]) -> tuple[np.ndar
         seen.add(name)
         picked.append(full.operators[table[name]])
     return tuple(picked)
-
-
-def casimir_check(operator_set: OperatorSet) -> float:
-    """Max entrywise deviation of sum(A_i^2) from the nearest multiple of
-    the identity.  A structural self-test for three-component spin/Stokes
-    sets, where the sum is exactly l(l+1) (resp. 4 l(l+1)) times identity."""
-    if len(operator_set) != 3:
-        raise InvalidParameterError(
-            f"casimir check needs exactly three operators, got {len(operator_set)}"
-        )
-    total = sum(op @ op for op in operator_set)
-    multiple = np.trace(total).real / operator_set.dim
-    return float(np.abs(total - multiple * np.eye(operator_set.dim)).max())

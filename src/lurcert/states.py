@@ -53,9 +53,8 @@ class DensityMatrix:
     """Validated quantum state: Hermitian, unit trace, positive semidefinite.
 
     ``dims`` is ``(d,)`` for a single system or ``(d_a, d_b)`` for a
-    bipartite one.  The stored matrix is kept exactly as supplied (so file
-    round trips are bit-exact); eigenvalues within tolerance of [0, 1] are
-    clipped in the lazy ``eigenvalues`` property only.
+    bipartite one.  The stored matrix is kept exactly as supplied, so file
+    round trips are bit-exact.
     """
 
     matrix: np.ndarray
@@ -127,17 +126,6 @@ class DensityMatrix:
     @property
     def is_bipartite(self) -> bool:
         return len(self.dims) == 2
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending spectrum clipped to [0, 1], read-only, computed on
-        first read (in real arithmetic for a real matrix)."""
-        eigenvalues = np.clip(np.linalg.eigvalsh(_real_if_real(self.matrix)), 0.0, 1.0)
-        eigenvalues.setflags(write=False)
-        return eigenvalues
 
     @cached_property
     def digest(self) -> str:
@@ -245,36 +233,20 @@ def singlet_state(spin: SpinQuantum, tolerances: Tolerances | None = None) -> De
     return singlet_ket(spin).projector(dims=(n, n), tolerances=tolerances)
 
 
-def _checked_bell_kets() -> dict[str, PureState]:
-    s2 = np.sqrt(2.0)
-    kets = {
-        "S": PureState(np.array([0, 1, -1, 0], dtype=complex) / s2),
-        "T1": PureState(np.array([1, 0, 0, -1], dtype=complex) / s2),
-        "T2": PureState(np.array([1, 0, 0, 1], dtype=complex) / s2),
-        "T3": PureState(np.array([0, 1, 1, 0], dtype=complex) / s2),
-    }
-    pauli = [2 * op for op in spin_components(SpinQuantum(1))]
-    eye = np.eye(2)
-    for i, name in enumerate(("T1", "T2", "T3")):
-        joint = np.kron(pauli[i], eye) + np.kron(eye, pauli[i])
-        residual = np.abs(joint @ kets[name].amplitudes).max()
-        if residual > 1e-12:
-            raise RuntimeError(f"triplet {name} fails its annihilation check: {residual:.3e}")
-        overlap = abs(np.vdot(kets["S"].amplitudes, kets[name].amplitudes))
-        if overlap > 1e-12:
-            raise RuntimeError(f"triplet {name} is not orthogonal to the singlet: {overlap:.3e}")
-    return kets
-
-
-_BELL_KETS = _checked_bell_kets()
+_SQRT2 = np.sqrt(2.0)
+_BELL_KETS = {
+    "S": PureState(np.array([0, 1, -1, 0], dtype=complex) / _SQRT2),
+    "T1": PureState(np.array([1, 0, 0, -1], dtype=complex) / _SQRT2),
+    "T2": PureState(np.array([1, 0, 0, 1], dtype=complex) / _SQRT2),
+    "T3": PureState(np.array([0, 1, 1, 0], dtype=complex) / _SQRT2),
+}
 
 
 def bell_kets() -> dict[str, PureState]:
     """The four Bell states of a 2x2 pair in the descending-m product basis.
 
     S is the singlet; each triplet Ti is annihilated by S_i(A) + S_i(B).
-    The kets are built and verified against those defining relations once,
-    at import; each call returns a fresh dict.
+    The kets are built once, at import; each call returns a fresh dict.
     """
     return dict(_BELL_KETS)
 
@@ -406,39 +378,6 @@ def maximally_mixed(dims, tolerances: Tolerances | None = None) -> DensityMatrix
     dims = (dims,) if isinstance(dims, (int, np.integer)) else tuple(dims)
     total = int(np.prod(dims))
     return DensityMatrix(np.eye(total, dtype=complex) / total, dims, tolerances)
-
-
-def random_pure_state(dim: int, rng: np.random.Generator) -> PureState:
-    """Haar-uniform pure state from a normalized complex Gaussian vector."""
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return PureState.normalized(v)
-
-
-def random_mixed_state(
-    dim: int, rng: np.random.Generator, dims=None, tolerances: Tolerances | None = None
-) -> DensityMatrix:
-    """Full-rank random state G G^dag / Tr(G G^dag) with Gaussian G."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    m = g @ g.conj().T
-    m /= np.trace(m).real
-    return DensityMatrix(m, (dim,) if dims is None else dims, tolerances)
-
-
-def random_product_state(
-    dim_a: int,
-    dim_b: int,
-    rng: np.random.Generator,
-    pure: bool = False,
-    tolerances: Tolerances | None = None,
-) -> DensityMatrix:
-    """Random product state rho_A (x) rho_B (separable by construction)."""
-    if pure:
-        rho_a = random_pure_state(dim_a, rng).projector().matrix
-        rho_b = random_pure_state(dim_b, rng).projector().matrix
-    else:
-        rho_a = random_mixed_state(dim_a, rng).matrix
-        rho_b = random_mixed_state(dim_b, rng).matrix
-    return DensityMatrix(np.kron(rho_a, rho_b), (dim_a, dim_b), tolerances)
 
 
 # --- JSON state files ----------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .linalg import DimensionMismatchError, InvalidParameterError
+from .linalg import DimensionMismatchError, InvalidParameterError, NotHermitianError
 from .spin_ops import (
     OperatorSet,
     SpinQuantum,
@@ -24,7 +24,7 @@ from .spin_ops import (
     stokes_components,
     stokes_subset,
 )
-from .states import DensityMatrix
+from .states import DensityMatrix, NotPositiveError
 
 # Traces of Hermitian products are real; larger imaginary parts mean the
 # inputs are corrupted, not rounding noise.  Both limits are for operators
@@ -38,14 +38,14 @@ NUMERICALLY_CERTIFIED = "numerically-certified"
 
 def real_part(traces, scale=1.0):
     """Real part of a trace, or an array of traces, of Hermitian products;
-    raises when an imaginary part exceeds the rounding guard, 1e-10 times
-    ``scale``.  ``scale`` is at least 1, one value for all traces or one
-    per trace."""
+    raises NotHermitianError when an imaginary part exceeds the rounding
+    guard, 1e-10 times ``scale``.  ``scale`` is at least 1, one value for
+    all traces or one per trace."""
     imag = np.abs(np.imag(traces))
     worst = imag.max()
     # a guard scaled by at least 1 is never below the unscaled one
     if worst > _IMAG_GUARD and (imag > _IMAG_GUARD * np.asarray(scale)).any():
-        raise linalg.LurcertError(
+        raise NotHermitianError(
             f"trace has non-negligible imaginary part {worst:.3e}; inputs look corrupted"
         )
     return np.real(traces)
@@ -57,24 +57,14 @@ def _real_trace(product: np.ndarray) -> float:
 
 def clip_variance(value: float, scale: float = 1.0) -> float:
     """Clip a variance within 1e-12 times ``scale`` below zero to zero;
-    raise below that."""
+    raise NotPositiveError below that."""
     if value < 0:
         if value < _VARIANCE_FLOOR * scale:
-            raise linalg.LurcertError(
+            raise NotPositiveError(
                 f"variance {value:.3e} is negative beyond tolerance; inputs look corrupted"
             )
         value = 0.0
     return value
-
-
-def expectation(rho: DensityMatrix, a: np.ndarray) -> float:
-    """<A> = Tr(rho A) for a Hermitian operator."""
-    a = linalg.ensure_hermitian(a, what="operator")
-    if a.shape[0] != rho.dim:
-        raise DimensionMismatchError(
-            f"operator dimension {a.shape[0]} does not match state dimension {rho.dim}"
-        )
-    return _real_trace(rho.matrix @ a)
 
 
 def variance(rho: DensityMatrix, a: np.ndarray) -> float:

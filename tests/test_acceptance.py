@@ -9,17 +9,18 @@ import time
 import numpy as np
 
 from lurcert.bound_search import SearchConfig, brute_force_minimum, minimize_sum_uncertainty
-from lurcert.lur import certify, joint_from_catalog, stokes_visibilities, wootters_concurrence
+from lurcert.lur import certify, joint_from_catalog
 from lurcert.spin_ops import SpinQuantum, spin_components, spin_subset
 from lurcert.states import (
     bell_mixture,
     min_uncertainty_state_n3,
-    random_product_state,
     singlet_state,
     white_noise_mixture,
     x_decoherence_mixture,
 )
 from lurcert.uncertainty import catalog_bound, sum_uncertainty
+
+from oracles import random_product_state, stokes_visibilities, wootters_concurrence
 
 
 def report(number, ok, detail):
@@ -148,8 +149,8 @@ def test_criterion_8_visibility_bound():
         else:
             weights = tuple(rng.dirichlet((1.0, 1.0, 1.0, 1.0)))
         rho = bell_mixture(*weights)
-        vis = stokes_visibilities(rho)
-        bound = vis.v1 + vis.v2 - 1.0
+        v1, v2, _ = stokes_visibilities(rho)
+        bound = v1 + v2 - 1.0
         conc = wootters_concurrence(rho)
         worst_violation = max(worst_violation, bound - conc)
         if weights[3] == 0.0 and weights[0] > 0.5:

@@ -273,6 +273,8 @@ def test_search_agrees_with_brute_force(label, relation):
 def test_search_config_validation():
     with pytest.raises(InvalidParameterError):
         SearchConfig(restarts=0)
+    with pytest.raises(InvalidParameterError):
+        SearchConfig(rng_seed=-1)
 
 
 @settings(max_examples=20, deadline=None)

@@ -441,6 +441,23 @@ def test_search_bound_operator_file(tmp_path, capsys):
     assert "error[not-hermitian]" in capsys.readouterr().err
 
 
+def test_negative_search_minimum_emits_a_zero_bound(tmp_path, capsys):
+    # one operator has an eigenstate, so the minimum is 0 and rounding can
+    # leave the search a little below it
+    rng = np.random.default_rng([7, 1, 0])
+    g = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+    h = (g + g.conj().T) / 2
+    ops_path = tmp_path / "ops.json"
+    ops_path.write_text(json.dumps({"operators": [np.stack([h.real, h.imag], -1).tolist()]}))
+    bound_path = tmp_path / "bound.json"
+    assert run("search-bound", "--set", str(ops_path), "--restarts", "8",
+               "--emit-bound", str(bound_path)) == 0
+    minimum = reported_minimum(capsys.readouterr().out)
+    doc = json.loads(bound_path.read_text())
+    assert doc["bound"] == max(0.0, minimum) < 1e-12
+    assert cli._load_relation_side(doc, "bound file").bound == doc["bound"]
+
+
 def test_bound_subcommand(capsys):
     assert run("bound", "--kind", "spin2_N3", "--two-l", "2") == 0
     out = capsys.readouterr().out
@@ -495,6 +512,33 @@ def structured_error(captured):
     assert len(errors) == 1, captured.err
     assert "Traceback" not in captured.err
     return errors[0]
+
+
+def test_negative_seed_is_refused(capsys):
+    assert run("search-bound", "--set", "spin:xy", "--two-l", "2", "--seed", "-1") == 2
+    assert structured_error(capsys.readouterr()) == (
+        "error[invalid-parameter]: seed must be nonnegative, got -1"
+    )
+
+
+def test_corrupt_moments_name_the_broken_invariant(tmp_path, monkeypatch, capsys):
+    # states that only a loosened tolerance admits: a skewed one leaves an
+    # imaginary trace, (1 + 1e-4)|S><S| - 1e-4|up up><up up| a negative variance
+    skewed = np.eye(4, dtype=complex) / 4
+    skewed[0, 1] = 1e-4j
+    singlet = singlet_state(SpinQuantum(1)).matrix
+    negative = (1 + 1e-4) * singlet - 1e-4 * np.diag([1.0, 0.0, 0.0, 0.0])
+    monkeypatch.setenv("LURCERT_VALIDATION_TOL", "1e-3")
+    for m, relation, expected in (
+        (skewed, "l3", "error[not-hermitian]: trace has non-negligible imaginary part 5.000e-05;"
+                       " inputs look corrupted"),
+        (negative, "s3", "error[not-positive]: variance -2.000e-04 is negative beyond tolerance;"
+                         " inputs look corrupted"),
+    ):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"dims": [2, 2], "matrix": np.stack([m.real, m.imag], -1).tolist()}))
+        assert run("certify", "--state", str(state), "--relation", relation) == 2
+        assert structured_error(capsys.readouterr()) == expected
 
 
 def test_hostile_row_counts_allocate_only_the_cells_present(tmp_path, capsys):

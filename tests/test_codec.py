@@ -15,10 +15,11 @@ from lurcert.states import (
     DensityMatrix,
     StateFormatError,
     matrix_from_rows,
-    random_mixed_state,
     state_digest,
     state_to_json,
 )
+
+from oracles import random_mixed_state
 
 # --- per-cell reference codecs ----------------------------------------------
 

@@ -9,17 +9,11 @@ from lurcert.linalg import DimensionMismatchError, InvalidParameterError, Lurcer
 from lurcert.lur import (
     RELATION_KINDS,
     VERDICT_MARGIN,
-    VisibilityRecord,
-    bell_mixture_analysis,
     build_joint,
     certify,
     closed_form_violation,
-    decoherence_analysis,
     joint_from_catalog,
     joint_from_relations,
-    stokes_visibilities,
-    visibility_to_uncertainty,
-    wootters_concurrence,
 )
 from lurcert.spin_ops import (
     OperatorSet,
@@ -33,15 +27,20 @@ from lurcert.states import (
     bell_mixture,
     bell_states,
     maximally_mixed,
-    random_mixed_state,
-    random_product_state,
-    random_pure_state,
     singlet_state,
     validate,
     white_noise_mixture,
     x_decoherence_mixture,
 )
 from lurcert.uncertainty import catalog_bound
+
+from oracles import (
+    random_mixed_state,
+    random_product_state,
+    random_pure_state,
+    stokes_visibilities,
+    wootters_concurrence,
+)
 
 
 def kron_reference(rho, joint):
@@ -160,28 +159,27 @@ def test_closed_form_table_blanks_and_checks():
 
 
 def test_bell_mixture_analysis_examples():
-    ana = bell_mixture_analysis(0.9, 0.1, 0, 0)
-    assert ana.c_s3 == pytest.approx(0.8, abs=1e-12)
-    assert ana.concurrence_formula == pytest.approx(0.8, abs=1e-12)
-    ana = bell_mixture_analysis(0.9, 0, 0, 0.1)
-    assert ana.c_s2 == pytest.approx(0.6, abs=1e-12)
-    assert ana.c_s2 <= ana.c_s3
-    ana = bell_mixture_analysis(0.25, 0.25, 0.25, 0.25)
-    assert ana.c_s3 == pytest.approx(-0.5, abs=1e-12)
+    assert closed_form_violation("bell", "s3", (0.9, 0.1, 0, 0)) == pytest.approx(0.8, abs=1e-12)
+    c_s3 = closed_form_violation("bell", "s3", (0.9, 0, 0, 0.1))
+    c_s2 = closed_form_violation("bell", "s2n2", (0.9, 0, 0, 0.1))
+    assert c_s2 == pytest.approx(0.6, abs=1e-12)
+    assert c_s2 <= c_s3
+    assert closed_form_violation("bell", "s3", (0.25,) * 4) == pytest.approx(-0.5, abs=1e-12)
     with pytest.raises(InvalidParameterError):
-        bell_mixture_analysis(0.5, 0.5, 0.5, -0.5)
+        closed_form_violation("bell", "s3", (0.5, 0.5, 0.5, -0.5))
 
 
 def test_two_component_estimate_is_conservative():
     rng = np.random.default_rng(41)
     for _ in range(200):
         w = rng.dirichlet((1.0, 1.0, 1.0, 1.0))
-        ana = bell_mixture_analysis(*w)
-        assert ana.c_s2 <= ana.c_s3 + 1e-12
+        c_s3 = closed_form_violation("bell", "s3", w)
+        c_s2 = closed_form_violation("bell", "s2n2", w)
+        assert c_s2 <= c_s3 + 1e-12
         if w[3] < 1e-15:
-            assert ana.c_s2 == pytest.approx(ana.c_s3, abs=1e-12)
+            assert c_s2 == pytest.approx(c_s3, abs=1e-12)
         else:
-            assert ana.c_s2 < ana.c_s3
+            assert c_s2 < c_s3
 
 
 def test_wootters_concurrence_reference_states():
@@ -199,24 +197,9 @@ def test_concurrence_equals_c_s3_for_singlet_dominated_mixtures():
     rng = np.random.default_rng(42)
     for p_s in np.linspace(0.51, 1.0, 25):
         rest = rng.dirichlet((1.0, 1.0, 1.0)) * (1.0 - p_s)
-        ana = bell_mixture_analysis(p_s, *rest)
         conc = wootters_concurrence(bell_mixture(p_s, *rest))
-        assert abs(ana.c_s3 - conc) < 1e-9
-        assert ana.c_s2 <= conc + 1e-12
-
-
-def test_visibility_mapping():
-    rec = VisibilityRecord(1.0, 1.0, 1.0)
-    assert visibility_to_uncertainty(rec).per_component == (0.0, 0.0, 0.0)
-    rec = VisibilityRecord(0.0, 0.0)
-    out = visibility_to_uncertainty(rec)
-    assert out.per_component == (2.0, 2.0)
-    assert out.concurrence_lower_bound == -1.0
-    out = visibility_to_uncertainty(VisibilityRecord(0.9, 0.9), no_local_polarization=True)
-    assert out.concurrence_lower_bound == pytest.approx(0.8, abs=1e-12)
-    assert out.no_local_polarization_asserted
-    with pytest.raises(InvalidParameterError):
-        VisibilityRecord(1.2, 0.0)
+        assert abs(closed_form_violation("bell", "s3", (p_s, *rest)) - conc) < 1e-9
+        assert closed_form_violation("bell", "s2n2", (p_s, *rest)) <= conc + 1e-12
 
 
 def test_visibility_bridge_on_bell_mixtures():
@@ -228,12 +211,12 @@ def test_visibility_bridge_on_bell_mixtures():
         vis = stokes_visibilities(rho)
         # V_i = p_S + p_i minus the other two weights
         expected = [w[0] + w[i] - (1.0 - w[0] - w[i]) for i in (1, 2, 3)]
-        assert np.allclose(vis.present(), expected, atol=1e-12)
-        mapped = visibility_to_uncertainty(vis).per_component
+        assert np.allclose(vis, expected, atol=1e-12)
+        # without local polarization each joint uncertainty is 2(1 - V_i)
+        mapped = [2.0 * (1.0 - v) for v in vis]
         cert = certify(rho, joint)
         assert np.abs(np.array(mapped) - np.array(cert.per_component)).max() < 1e-9
-        bound = visibility_to_uncertainty(vis).concurrence_lower_bound
-        assert bound <= wootters_concurrence(rho) + 1e-9
+        assert vis[0] + vis[1] - 1.0 <= wootters_concurrence(rho) + 1e-9
 
 
 def test_visibility_bound_stays_below_certificate_when_polarized():
@@ -247,20 +230,19 @@ def test_visibility_bound_stays_below_certificate_when_polarized():
         w = rng.dirichlet((1.0, 1.0, 1.0, 1.0))
         lam = rng.uniform(0.0, 0.6)
         rho = validate((1 - lam) * bell_mixture(*w).matrix + lam * polarized, (2, 2))
-        vis = stokes_visibilities(rho)
-        bound = visibility_to_uncertainty(vis, no_local_polarization=False).concurrence_lower_bound
+        v1, v2, _ = stokes_visibilities(rho)
         cert = certify(rho, joint2)
-        assert bound <= cert.relative_violation + 1e-12
+        assert v1 + v2 - 1.0 <= cert.relative_violation + 1e-12
 
 
 def test_decoherence_analysis_curve():
-    ana = decoherence_analysis(0.0)
-    assert ana.c_l3 == 1.0 and ana.c_l2 == 1.0
-    ana = decoherence_analysis(0.3)
-    assert ana.c_l3 == pytest.approx(0.6, abs=1e-12)
-    assert ana.c_l2 == pytest.approx(1.0 - 9.6 / 21.0, abs=1e-12)
+    assert closed_form_violation("xdecoherence", "l3", (0.0,)) == 1.0
+    assert closed_form_violation("xdecoherence", "l2n3", (0.0,)) == 1.0
+    assert closed_form_violation("xdecoherence", "l3", (0.3,)) == pytest.approx(0.6, abs=1e-12)
+    c_l2 = closed_form_violation("xdecoherence", "l2n3", (0.3,))
+    assert c_l2 == pytest.approx(1.0 - 9.6 / 21.0, abs=1e-12)
     with pytest.raises(InvalidParameterError):
-        decoherence_analysis(1.5)
+        closed_form_violation("xdecoherence", "l3", (1.5,))
 
 
 def test_decoherence_x_uncertainty_stays_zero():
@@ -381,8 +363,9 @@ def test_certify_keeps_the_imaginary_part_guard():
     g = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
     matrix = maximally_mixed((2, 2)).matrix + 1e-4j * g
     rho = DensityMatrix(matrix, (2, 2), Tolerances(hermiticity=1e-3))
-    with pytest.raises(LurcertError, match="imaginary part"):
+    with pytest.raises(LurcertError, match="imaginary part") as err:
         certify(rho, joint_from_catalog("s3", 2, 2))
+    assert err.value.code == "not-hermitian"
 
 
 def test_certify_keeps_the_negative_variance_floor():
@@ -393,8 +376,9 @@ def test_certify_keeps_the_negative_variance_floor():
     up_up[0, 0] = 1.0
     matrix = (1 + eps) * singlet_state(SpinQuantum(1)).matrix - eps * up_up
     rho = DensityMatrix(matrix, (2, 2), Tolerances(positivity_floor=-1e-3))
-    with pytest.raises(LurcertError, match="negative beyond tolerance"):
+    with pytest.raises(LurcertError, match="negative beyond tolerance") as err:
         certify(rho, joint_from_catalog("s3", 2, 2))
+    assert err.value.code == "not-positive"
     # a deficit within the floor is clipped to zero
     matrix = (1 + 1e-14) * singlet_state(SpinQuantum(1)).matrix - 1e-14 * up_up
     rho = DensityMatrix(matrix, (2, 2))

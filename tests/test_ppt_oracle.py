@@ -9,14 +9,9 @@ import pytest
 from lurcert.linalg import InvalidParameterError
 from lurcert.lur import RELATION_KINDS, certify, joint_from_catalog
 from lurcert.spin_ops import SpinQuantum
-from lurcert.states import (
-    bell_mixture,
-    random_mixed_state,
-    random_product_state,
-    random_pure_state,
-    singlet_state,
-    validate,
-)
+from lurcert.states import bell_mixture, singlet_state, validate
+
+from oracles import random_mixed_state, random_product_state, random_pure_state
 
 
 def min_partial_transpose_eigenvalue(rho):

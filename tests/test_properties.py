@@ -9,14 +9,9 @@ from hypothesis import strategies as st
 
 from lurcert.lur import build_joint, certify, joint_from_catalog
 from lurcert.spin_ops import OperatorSet, SpinQuantum, spin_components
-from lurcert.states import (
-    random_mixed_state,
-    random_pure_state,
-    singlet_state,
-    state_from_json,
-    state_to_json,
-    validate,
-)
+from lurcert.states import singlet_state, state_from_json, state_to_json, validate
+
+from oracles import random_mixed_state, random_pure_state
 
 DIMS = st.tuples(st.integers(2, 4), st.integers(2, 4))
 
