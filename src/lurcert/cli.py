@@ -225,7 +225,6 @@ def cmd_family(args) -> int:
             raise InvalidParameterError(
                 f"family {args.kind} is fixed at two_l={expected}, got --two-l {args.two_l}"
             )
-    tolerances = Tolerances.from_env()
     lines = ["parameter,total,local_limit,C,closed_form_C,abs_difference"]
     joint = moments = None
     for value in grid:
@@ -237,7 +236,7 @@ def cmd_family(args) -> int:
             # Built after the first row's weights are checked, so a bad
             # grid value, a refused state and a relation for other dims
             # are met in the order a member-by-member sweep met them.
-            components = family_components(args.kind, spin, tolerances)
+            components = family_components(args.kind, spin)
             joint = joint_from_catalog(args.relation, components[0].dim_a, components[0].dim_b)
             moments = np.array([joint_moments(c, joint) for c in components])
         row = score(np.tensordot(weights, moments, axes=1), joint)
@@ -323,27 +322,26 @@ def cmd_search_bound(args) -> int:
 
 
 def cmd_state_gen(args) -> int:
-    tolerances = Tolerances.from_env()
     kind = args.kind
     if kind == "singlet":
         if args.two_l is None:
             raise InvalidParameterError("state-gen singlet needs --two-l")
-        state = singlet_state(SpinQuantum(args.two_l), tolerances)
+        state = singlet_state(SpinQuantum(args.two_l))
     elif kind == "minuncert3":
-        state = min_uncertainty_state_n3(args.phi).projector(tolerances=tolerances)
+        state = min_uncertainty_state_n3(args.phi).projector()
     elif kind == "white":
         if args.two_l is None or args.p is None:
             raise InvalidParameterError("state-gen white needs --two-l and --p")
-        state = white_noise_mixture(SpinQuantum(args.two_l), args.p, tolerances)
+        state = white_noise_mixture(SpinQuantum(args.two_l), args.p)
     elif kind == "xdecoherence":
         if args.p is None:
             raise InvalidParameterError("state-gen xdecoherence needs --p")
-        state = x_decoherence_mixture(args.p, tolerances)
+        state = x_decoherence_mixture(args.p)
     else:
         weights = (args.ps, args.p1, args.p2, args.p3)
         if any(w is None for w in weights):
             raise InvalidParameterError("state-gen bell needs --ps --p1 --p2 --p3")
-        state = bell_mixture(*weights, tolerances)
+        state = bell_mixture(*weights)
     write_state(state, args.out)
     print(f"wrote {kind} state (dims {'x'.join(str(d) for d in state.dims)}) to {args.out}")
     return EXIT_OK

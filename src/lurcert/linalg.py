@@ -42,10 +42,11 @@ class BoundFileError(InvalidParameterError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Validation tolerances, centralized so there is a single knob.
+    """Validation tolerances, kept in one place.
 
     ``hermiticity``, ``trace_deviation`` and ``positivity_floor`` gate state
-    and operator validation.  Certified uncertainty bounds never depend on
+    and operator validation; ``from_env`` sets all three from one
+    environment variable.  Certified uncertainty bounds never depend on
     these.
     """
 

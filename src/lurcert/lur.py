@@ -9,7 +9,7 @@ violated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -150,7 +150,7 @@ def joint_from_catalog(relation: str, dim_a: int, dim_b: int) -> JointOperatorSe
             )
         size = SpinQuantum(dim - 1) if kind.startswith("spin") else dim - 1
         sides.append(catalog_bound(kind, size))
-    return replace(joint_from_relations(*sides), label=relation)
+    return joint_from_relations(*sides, label=relation)
 
 
 @dataclass(frozen=True, eq=False)

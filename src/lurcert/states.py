@@ -188,9 +188,9 @@ class PureState:
         lead = amps[idx[0]]
         return PureState(amps * (lead.conjugate() / abs(lead)))
 
-    def projector(self, dims=None, tolerances: Tolerances | None = None) -> DensityMatrix:
+    def projector(self, dims=None) -> DensityMatrix:
         dims = (self.dim,) if dims is None else dims
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), dims, tolerances)
+        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), dims)
 
     def __repr__(self) -> str:
         return f"PureState(dim={self.dim})"
@@ -227,10 +227,10 @@ def singlet_ket(spin: SpinQuantum) -> PureState:
     return PureState(vec / np.sqrt(n))
 
 
-def singlet_state(spin: SpinQuantum, tolerances: Tolerances | None = None) -> DensityMatrix:
+def singlet_state(spin: SpinQuantum) -> DensityMatrix:
     """Projector onto the two-party spin-l singlet."""
     n = spin.dim
-    return singlet_ket(spin).projector(dims=(n, n), tolerances=tolerances)
+    return singlet_ket(spin).projector(dims=(n, n))
 
 
 _SQRT2 = np.sqrt(2.0)
@@ -251,33 +251,28 @@ def bell_kets() -> dict[str, PureState]:
     return dict(_BELL_KETS)
 
 
-def bell_states(tolerances: Tolerances | None = None) -> dict[str, DensityMatrix]:
+def bell_states() -> dict[str, DensityMatrix]:
     """Projectors onto the four Bell states, keyed S, T1, T2, T3."""
-    return {
-        name: ket.projector(dims=(2, 2), tolerances=tolerances)
-        for name, ket in _BELL_KETS.items()
-    }
+    return {name: ket.projector(dims=(2, 2)) for name, ket in _BELL_KETS.items()}
 
 
-def bell_mixture(p_s, p_1, p_2, p_3, tolerances: Tolerances | None = None) -> DensityMatrix:
+def bell_mixture(p_s, p_1, p_2, p_3) -> DensityMatrix:
     """Mixture p_S |S><S| + p_1 |T1><T1| + p_2 |T2><T2| + p_3 |T3><T3|."""
     weights = _check_probabilities((p_s, p_1, p_2, p_3), what="Bell weights")
     matrix = np.zeros((4, 4), dtype=complex)
     for w, name in zip(weights, ("S", "T1", "T2", "T3")):
         amps = _BELL_KETS[name].amplitudes
         matrix += w * np.outer(amps, amps.conj())
-    return DensityMatrix(matrix, (2, 2), tolerances)
+    return DensityMatrix(matrix, (2, 2))
 
 
-def white_noise_mixture(
-    spin: SpinQuantum, p_w, tolerances: Tolerances | None = None
-) -> DensityMatrix:
+def white_noise_mixture(spin: SpinQuantum, p_w) -> DensityMatrix:
     """Singlet mixed with white noise: (1-p_W)|sing><sing| + p_W 1/N^2."""
     p_w = _check_fraction(p_w, "p_w")
     n = spin.dim
     sing = singlet_ket(spin).amplitudes
     matrix = (1 - p_w) * np.outer(sing, sing.conj()) + p_w * np.eye(n * n) / (n * n)
-    return DensityMatrix(matrix, (n, n), tolerances)
+    return DensityMatrix(matrix, (n, n))
 
 
 def x_basis_kets() -> list[np.ndarray]:
@@ -307,7 +302,7 @@ def _anticorrelated_x_projectors() -> tuple[np.ndarray, ...]:
 _X_PRODUCT_PROJECTORS = _anticorrelated_x_projectors()
 
 
-def x_decoherence_mixture(p_d, tolerances: Tolerances | None = None) -> DensityMatrix:
+def x_decoherence_mixture(p_d) -> DensityMatrix:
     """Spin-1 singlet decohered in the L_x basis.
 
     Mixes the singlet with the three anticorrelated L_x product states
@@ -319,30 +314,28 @@ def x_decoherence_mixture(p_d, tolerances: Tolerances | None = None) -> DensityM
     matrix = (1 - p_d) * np.outer(sing, sing.conj())
     for projector in _X_PRODUCT_PROJECTORS:
         matrix += (p_d / 3) * projector
-    return DensityMatrix(matrix, (3, 3), tolerances)
+    return DensityMatrix(matrix, (3, 3))
 
 
-def family_components(
-    kind: str, spin: SpinQuantum | None = None, tolerances: Tolerances | None = None
-) -> tuple[DensityMatrix, ...]:
+def family_components(kind: str, spin: SpinQuantum | None = None) -> tuple[DensityMatrix, ...]:
     """The fixed states that every member of family ``kind`` mixes, each
-    validated under ``tolerances``: the spin-``spin`` singlet and the
-    maximally mixed N x N state (``white``), the spin-1 singlet and the
-    three anticorrelated L_x product states (``xdecoherence``), and the
-    Bell states S, T1, T2, T3 (``bell``).
+    validated under the default tolerances, as every built-in state is: the
+    spin-``spin`` singlet and the maximally mixed N x N state (``white``),
+    the spin-1 singlet and the three anticorrelated L_x product states
+    (``xdecoherence``), and the Bell states S, T1, T2, T3 (``bell``).
 
     A member is sum_k w_k * components[k] with w = ``family_weights``.
     """
     if kind == "white":
         n = spin.dim
-        return singlet_state(spin, tolerances), maximally_mixed((n, n), tolerances)
+        return singlet_state(spin), maximally_mixed((n, n))
     if kind == "xdecoherence":
         return (
-            singlet_state(SpinQuantum(2), tolerances),
-            *(DensityMatrix(p, (3, 3), tolerances) for p in _X_PRODUCT_PROJECTORS),
+            singlet_state(SpinQuantum(2)),
+            *(DensityMatrix(p, (3, 3)) for p in _X_PRODUCT_PROJECTORS),
         )
     if kind == "bell":
-        return tuple(bell_states(tolerances).values())
+        return tuple(bell_states().values())
     raise InvalidParameterError(f"unknown family kind {kind!r}")
 
 
@@ -374,10 +367,10 @@ def min_uncertainty_state_n3(phi: float) -> PureState:
     )
 
 
-def maximally_mixed(dims, tolerances: Tolerances | None = None) -> DensityMatrix:
+def maximally_mixed(dims) -> DensityMatrix:
     dims = (dims,) if isinstance(dims, (int, np.integer)) else tuple(dims)
     total = int(np.prod(dims))
-    return DensityMatrix(np.eye(total, dtype=complex) / total, dims, tolerances)
+    return DensityMatrix(np.eye(total, dtype=complex) / total, dims)
 
 
 # --- JSON state files ----------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from lurcert import cli, states
-from lurcert.linalg import ENV_TOLERANCE_VAR, LurcertError, Tolerances
+from lurcert.linalg import ENV_TOLERANCE_VAR, LurcertError
 from lurcert.lur import RELATION_KINDS, certify, joint_from_catalog
 from lurcert.spin_ops import SpinQuantum
 from lurcert.states import (
@@ -46,14 +46,14 @@ def sweep(tmp_path, capsys, kind, two_l, grid, relation):
     return code, err, rows
 
 
-def member_loop(kind, two_l, grid, relation, tolerances=None):
+def member_loop(kind, two_l, grid, relation):
     """Certificates of every member built by its constructor, or the
     ``error[<code>]`` line of the first refusal."""
     spin = SpinQuantum(two_l) if kind == "white" else None
     certs, joint = [], None
     try:
         for value in cli._parse_grid(grid):
-            rho = CONSTRUCTORS[kind](*cli._family_params(kind, spin, value), tolerances)
+            rho = CONSTRUCTORS[kind](*cli._family_params(kind, spin, value))
             if joint is None:
                 joint = joint_from_catalog(relation, rho.dim_a, rho.dim_b)
             certs.append(certify(rho, joint))
@@ -178,11 +178,10 @@ def decisions(tmp_path, capsys, monkeypatch, tol):
         monkeypatch.delenv(ENV_TOLERANCE_VAR, raising=False)
     else:
         monkeypatch.setenv(ENV_TOLERANCE_VAR, tol)
-    tolerances = Tolerances.from_env()
     for kind, two_l in FAMILIES:
         for relation in RELATION_KINDS:
             code, err, rows = sweep(tmp_path, capsys, kind, two_l, "0:1:0.05", relation)
-            certs, error = member_loop(kind, two_l, "0:1:0.05", relation, tolerances)
+            certs, error = member_loop(kind, two_l, "0:1:0.05", relation)
             got = (code, err, rows is None)
             expected = (0, "", False) if certs is not None else (2, error, True)
             yield (kind, two_l, relation), got, expected
@@ -194,23 +193,46 @@ def test_family_decisions_match_the_member_loop(tmp_path, capsys, monkeypatch, t
         assert got == expected, case
 
 
-@pytest.mark.parametrize("tol", ["1e-16", "1e-20"])
-def test_family_decisions_below_the_trace_resolution(tmp_path, capsys, monkeypatch, tol):
-    # A tolerance below the rounding of a unit trace (a few 1e-16) judges
-    # the rounding: the member loop judged each built member's trace, the
-    # sweep judges the components'.  They may differ only in such a
-    # trace-not-one decision, and the sweep refuses every family whose
-    # components miss the tolerance.
-    tolerances = Tolerances(hermiticity=float(tol), trace_deviation=float(tol),
-                            positivity_floor=-float(tol))
-    refused_components = 0
-    for (kind, two_l, relation), got, expected in decisions(tmp_path, capsys, monkeypatch, tol):
-        if got != expected:
-            assert "error[trace-not-one]" in got[1] + expected[1], (kind, two_l, relation)
-        spin = SpinQuantum(two_l) if kind == "white" else None
-        try:
-            family_components(kind, spin, tolerances)
-        except LurcertError as exc:
-            assert got == (2, f"error[{exc.code}]: {exc}\n", True)
-            refused_components += 1
-    assert refused_components > 0
+# Every state the program builds, as state-gen writes it
+STATE_GEN = [
+    *(["--kind", "singlet", "--two-l", str(two_l)] for two_l in range(1, 12)),
+    ["--kind", "minuncert3", "--phi", "0.7"],
+    *(["--kind", "white", "--two-l", str(two_l), "--p", "0.25"] for two_l in (1, 2, 9)),
+    ["--kind", "xdecoherence", "--p", "0.3"],
+    ["--kind", "bell", "--ps", "0.4", "--p1", "0.3", "--p2", "0.2", "--p3", "0.1"],
+]
+
+
+def built_outputs(tmp_path, capsys, monkeypatch, tol):
+    """(exit code, stdout, stderr, file bytes) of every family sweep under
+    l3 and every state-gen case, under ``LURCERT_VALIDATION_TOL=tol``."""
+    if tol is None:
+        monkeypatch.delenv(ENV_TOLERANCE_VAR, raising=False)
+    else:
+        monkeypatch.setenv(ENV_TOLERANCE_VAR, tol)
+    runs = [
+        ["family", "--kind", kind, "--grid=0:1:0.05", "--relation", "l3"]
+        + ([] if two_l is None else ["--two-l", str(two_l)])
+        for kind, two_l in FAMILIES
+    ]
+    runs += [["state-gen", *argv] for argv in STATE_GEN]
+    outputs = []
+    for argv in runs:
+        out = tmp_path / "out"
+        if out.exists():
+            out.unlink()
+        code = cli.main(argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        outputs.append((code, captured.out, captured.err, out.read_bytes() if out.exists() else None))
+    return outputs
+
+
+def test_built_states_ignore_the_validation_tolerance(tmp_path, capsys, monkeypatch):
+    # The variable is the slack for states read from files; a state the
+    # program builds is validated at the default tolerances whatever it
+    # says, so a value below the rounding of a unit trace or one that
+    # certify would refuse changes no byte
+    unset = built_outputs(tmp_path, capsys, monkeypatch, None)
+    assert all(code == 0 and err == "" and data for code, _, err, data in unset)
+    for tol in ("1e-6", "1e-16", "1e-20", "bogus", "inf", "0"):
+        assert built_outputs(tmp_path, capsys, monkeypatch, tol) == unset, tol

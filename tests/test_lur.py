@@ -15,13 +15,7 @@ from lurcert.lur import (
     joint_from_catalog,
     joint_from_relations,
 )
-from lurcert.spin_ops import (
-    OperatorSet,
-    SpinQuantum,
-    spin_components,
-    spin_subset,
-    stokes_subset,
-)
+from lurcert.spin_ops import OperatorSet, SpinQuantum, spin_components, spin_subset
 from lurcert.states import (
     DensityMatrix,
     bell_mixture,
@@ -267,6 +261,22 @@ def test_no_false_positives_on_product_states(relation):
             cert = certify(rho, joint)
             assert not cert.entangled
             assert cert.total >= joint.local_limit - 1e-9
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+def test_no_false_positive_within_the_positivity_floor():
+    # (1 + d)|aa><aa| - d 1/4, a the qubit coherent state along
+    # (1,1,1)/sqrt(3): |aa> sits on the l3 limit, and the eigenvalue
+    # -d/4 is within the default positivity floor, so validation accepts it
+    theta, phi = np.arccos(1 / np.sqrt(3)), np.pi / 4
+    a = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+    aa = np.kron(a, a)
+    joint = joint_from_catalog("l3", 2, 2)
+    verdicts = [
+        certify(validate((1 + d) * np.outer(aa, aa.conj()) - d * np.eye(4) / 4, (2, 2)), joint).entangled
+        for d in (3.9e-9, 1e-9)
+    ]
+    assert verdicts == [False, False]
 
 
 def test_mixtures_of_non_violating_states_do_not_violate():

@@ -13,7 +13,6 @@ from lurcert.linalg import (
 )
 from lurcert.spin_ops import SpinQuantum, spin_components
 from lurcert.states import (
-    DensityMatrix,
     NotPositiveError,
     PureState,
     StateFormatError,
@@ -33,7 +32,7 @@ from lurcert.states import (
     x_basis_kets,
     x_decoherence_mixture,
 )
-from lurcert.uncertainty import sum_uncertainty, variance
+from lurcert.uncertainty import variance
 
 from oracles import random_mixed_state, random_product_state, random_pure_state
 
