@@ -27,6 +27,8 @@ CONFIDENCE_FRACTION = 0.25
 # Restarts descend together in blocks of this many columns, so the solver's
 # arrays stay O(dim * RESTART_BLOCK) whatever the restart count.
 RESTART_BLOCK = 64
+# Each restart keeps its minimum and stop reason, so the count is capped.
+MAX_RESTARTS = 10**5
 
 # Descent rules of every restart.  The line search backtracks by halving
 # from at most INITIAL_STEP; the starting trial is the spectral
@@ -62,6 +64,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise InvalidParameterError("restarts must be a positive integer")
+        if self.restarts > MAX_RESTARTS:
+            raise InvalidParameterError(f"restarts must be at most {MAX_RESTARTS}, got {self.restarts}")
         # numpy refuses a negative seed with a bare ValueError
         if self.rng_seed < 0:
             raise InvalidParameterError(f"seed must be nonnegative, got {self.rng_seed}")

@@ -325,6 +325,8 @@ def family_components(kind: str, spin: SpinQuantum | None = None) -> tuple[Densi
     (``xdecoherence``), and the Bell states S, T1, T2, T3 (``bell``).
 
     A member is sum_k w_k * components[k] with w = ``family_weights``.
+    ``lur.family_moments`` keeps the components' moments per process, not
+    the components.
     """
     if kind == "white":
         n = spin.dim

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lurcert import bound_search
 from lurcert.bound_search import (
     ARMIJO,
+    MAX_RESTARTS,
     RESTART_BLOCK,
     STOP_REASONS,
     SearchConfig,
@@ -275,6 +276,10 @@ def test_search_config_validation():
         SearchConfig(restarts=0)
     with pytest.raises(InvalidParameterError):
         SearchConfig(rng_seed=-1)
+    # each restart keeps a minimum and a stop reason, so the count is capped
+    assert SearchConfig(restarts=MAX_RESTARTS).restarts == MAX_RESTARTS
+    with pytest.raises(InvalidParameterError, match=f"at most {MAX_RESTARTS}"):
+        SearchConfig(restarts=MAX_RESTARTS + 1)
 
 
 @settings(max_examples=20, deadline=None)

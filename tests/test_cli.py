@@ -521,6 +521,14 @@ def test_negative_seed_is_refused(capsys):
     )
 
 
+def test_oversized_restarts_are_refused(capsys):
+    # refused before the search keeps a minimum per restart
+    assert run("search-bound", "--set", "spin:xy", "--two-l", "2", "--restarts", "100000000000") == 2
+    assert structured_error(capsys.readouterr()) == (
+        "error[invalid-parameter]: restarts must be at most 100000, got 100000000000"
+    )
+
+
 def test_corrupt_moments_name_the_broken_invariant(tmp_path, monkeypatch, capsys):
     # states that only a loosened tolerance admits: a skewed one leaves an
     # imaginary trace, (1 + 1e-4)|S><S| - 1e-4|up up><up up| a negative variance
