@@ -31,9 +31,9 @@ from .lur import (
     RELATION_KINDS,
     certify,
     closed_form_violation,
-    family_moments,
     joint_from_catalog,
     joint_from_relations,
+    joint_moments,
     score,
 )
 from .bound_search import SearchConfig, minimize_sum_uncertainty
@@ -41,6 +41,7 @@ from .spin_ops import OperatorSet, SpinQuantum, spin_subset, stokes_subset
 from .states import (
     DensityMatrix,
     bell_mixture,
+    family_components,
     family_weights,
     matrix_from_rows,
     min_uncertainty_state_n3,
@@ -235,7 +236,9 @@ def cmd_family(args) -> int:
             # Built after the first row's weights are checked, so a bad
             # grid value, a refused state and a relation for other dims
             # are met in the order a member-by-member sweep met them.
-            joint, moments = family_moments(args.kind, spin, args.relation)
+            components = family_components(args.kind, spin)
+            joint = joint_from_catalog(args.relation, components[0].dim_a, components[0].dim_b)
+            moments = np.array([joint_moments(c, joint) for c in components])
         row = score(np.tensordot(weights, moments, axes=1), joint)
         closed = closed_form_violation(args.kind, args.relation, params)
         if closed is None:

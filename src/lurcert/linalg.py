@@ -92,11 +92,12 @@ def hermiticity_deviation(a: np.ndarray) -> float:
     """Max entrywise deviation of the square array ``a`` from its conjugate
     transpose.  ``a`` is used as given: coerce it with ``as_square_matrix``
     first.  A real ``a`` is its own conjugate."""
-    # The differences a - a^H.  A complex ``a`` is conjugated into a fresh
-    # array, and the differences overwrite it: one temporary, not two.
+    # The differences a - a^H in one temporary: a complex ``a`` is
+    # conjugated into a fresh array that the differences overwrite, and
+    # real differences are overwritten by their moduli.
     h = a.conj()  # ``a`` itself when it is real
     d = np.subtract(a, h.T, out=None if h is a else h.T)
-    return float(np.abs(d).max())
+    return float(np.abs(d, out=d if h is a else None).max())
 
 
 def ensure_hermitian(a, what: str = "matrix") -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .linalg import DimensionMismatchError, InvalidParameterError
 from .spin_ops import OperatorSet, SpinQuantum
-from .states import DensityMatrix, _check_fraction, _check_probabilities, family_components
+from .states import DensityMatrix, _check_fraction, _check_probabilities
 from .uncertainty import UncertaintyRelation, catalog_bound, clip_variance, real_part
 
 # A state must undercut the local limit by this much before it is flagged;
@@ -220,24 +220,6 @@ def joint_moments(
         sq_a @ rho_a + sq_b @ rho_b + 2 * ((vec_a @ pairs) * vec_b).sum(axis=1), scales
     )
     return mean, second
-
-
-# Components are validated at the default tolerances whatever the
-# environment says, so their moments are constants of the key.  Only the
-# moment rows are kept, never the D x D components.
-@lru_cache(maxsize=32)
-def family_moments(
-    kind: str, spin: SpinQuantum | None, relation: str
-) -> tuple[JointOperatorSet, np.ndarray]:
-    """The catalog joint of ``relation`` at the components' dims, and the
-    read-only (components, 2, n) array of ``joint_moments`` of each of
-    ``family_components(kind, spin)``, built once per key.  Invalid
-    arguments raise on every call."""
-    components = family_components(kind, spin)
-    joint = joint_from_catalog(relation, components[0].dim_a, components[0].dim_b)
-    moments = np.array([joint_moments(c, joint) for c in components])
-    moments.setflags(write=False)
-    return joint, moments
 
 
 class Score(NamedTuple):

@@ -325,8 +325,6 @@ def family_components(kind: str, spin: SpinQuantum | None = None) -> tuple[Densi
     (``xdecoherence``), and the Bell states S, T1, T2, T3 (``bell``).
 
     A member is sum_k w_k * components[k] with w = ``family_weights``.
-    ``lur.family_moments`` keeps the components' moments per process, not
-    the components.
     """
     if kind == "white":
         n = spin.dim
@@ -372,7 +370,9 @@ def min_uncertainty_state_n3(phi: float) -> PureState:
 def maximally_mixed(dims) -> DensityMatrix:
     dims = (dims,) if isinstance(dims, (int, np.integer)) else tuple(dims)
     total = int(np.prod(dims))
-    return DensityMatrix(np.eye(total, dtype=complex) / total, dims)
+    # the numbers of eye / total, without a complex division or a second
+    # D x D array
+    return DensityMatrix(np.diag(np.full(total, 1 / total, dtype=complex)), dims)
 
 
 # --- JSON state files ----------------------------------------------------

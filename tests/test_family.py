@@ -9,7 +9,7 @@ import csv
 import numpy as np
 import pytest
 
-from lurcert import cli, lur, states
+from lurcert import cli, states
 from lurcert.linalg import ENV_TOLERANCE_VAR, LurcertError
 from lurcert.lur import RELATION_KINDS, certify, joint_from_catalog
 from lurcert.spin_ops import SpinQuantum
@@ -31,38 +31,16 @@ CONSTRUCTORS = {
 FAMILIES = [("white", two_l) for two_l in range(1, 12)] + [("xdecoherence", None), ("bell", None)]
 
 
-@pytest.fixture(autouse=True)
-def cold_family_cache():
-    """Each test starts with no family moments cached in the process."""
-    lur.family_moments.cache_clear()
-
-
-def family_argv(kind, two_l, grid, relation):
-    argv = ["family", "--kind", kind, f"--grid={grid}", "--relation", relation]
-    return argv if two_l is None else argv + ["--two-l", str(two_l)]
-
-
-def cli_outputs(tmp_path, capsys, runs):
-    """(exit code, stdout, stderr, file bytes) of each argv run with an
-    ``--out`` path appended."""
-    outputs = []
-    for argv in runs:
-        out = tmp_path / "out"
-        if out.exists():
-            out.unlink()
-        code = cli.main(argv + ["--out", str(out)])
-        captured = capsys.readouterr()
-        outputs.append((code, captured.out, captured.err, out.read_bytes() if out.exists() else None))
-    return outputs
-
-
 def sweep(tmp_path, capsys, kind, two_l, grid, relation):
     """Exit code, stderr and CSV rows (None when no file was written) of
     ``lurcert family``."""
     out = tmp_path / "family.csv"
     if out.exists():
         out.unlink()
-    code = cli.main(family_argv(kind, two_l, grid, relation) + ["--out", str(out)])
+    argv = ["family", "--kind", kind, f"--grid={grid}", "--relation", relation, "--out", str(out)]
+    if two_l is not None:
+        argv += ["--two-l", str(two_l)]
+    code = cli.main(argv)
     err = capsys.readouterr().err
     rows = list(csv.DictReader(out.open(newline=""))) if out.exists() else None
     return code, err, rows
@@ -107,44 +85,10 @@ def test_family_validates_each_component_once(tmp_path, capsys, monkeypatch, gri
 
     monkeypatch.setattr(states.DensityMatrix, "__post_init__", counting)
     for kind, two_l, components in (("white", 11, 2), ("xdecoherence", None, 4), ("bell", None, 4)):
-        # the first sweep of a (kind, 2l, relation) validates its
-        # components, a repeat on any grid validates none, and another
-        # relation validates them again
-        for relation, repeat_grid, expected in (
-            ("s3", grid, components),
-            ("s3", grid, 0),
-            ("s3", "0:1:0.5", 0),
-            ("l3", grid, components),
-        ):
-            del validations[:]
-            code, _, rows = sweep(tmp_path, capsys, kind, two_l, repeat_grid, relation)
-            assert code == 0 and len(rows) == len(cli._parse_grid(repeat_grid))
-            assert len(validations) == expected, (kind, relation, repeat_grid)
-
-
-def test_warm_sweeps_write_the_cold_bytes(tmp_path, capsys):
-    runs = [
-        family_argv(kind, two_l, grid, relation)
-        for kind, two_l in (("white", 1), ("white", 11), ("xdecoherence", None), ("bell", None))
-        for grid in ("0:1:0.25", "0.1:0.9:0.05")
-        for relation in RELATION_KINDS
-    ]
-    cold = []
-    for argv in runs:
-        lur.family_moments.cache_clear()
-        cold += cli_outputs(tmp_path, capsys, [argv])
-    # refusals for other dims included
-    assert {code for code, *_ in cold} == {0, 2}
-    warm = cli_outputs(tmp_path, capsys, runs)
-    assert cli_outputs(tmp_path, capsys, runs) == warm == cold
-
-
-def test_cached_moments_are_read_only():
-    joint, moments = lur.family_moments("white", SpinQuantum(3), "l3")
-    assert lur.family_moments("white", SpinQuantum(3), "l3")[1] is moments
-    assert moments.shape == (2, 2, 3) and joint is joint_from_catalog("l3", 4, 4)
-    with pytest.raises(ValueError):
-        moments[0, 0, 0] = 0.0
+        del validations[:]
+        code, _, rows = sweep(tmp_path, capsys, kind, two_l, grid, "s3")
+        assert code == 0 and len(rows) == len(cli._parse_grid(grid))
+        assert len(validations) == components
 
 
 def test_components_mix_to_the_constructors():
@@ -227,13 +171,6 @@ def test_family_refusals_are_unchanged(tmp_path, capsys, case, line):
     assert sweep(tmp_path, capsys, *case) == (2, line + "\n", None)
 
 
-def test_family_refusals_repeat_in_one_process(tmp_path, capsys):
-    # a refusal is not cached: the second sweep of each case meets it again
-    for case, line in REFUSED:
-        for _ in range(2):
-            assert sweep(tmp_path, capsys, *case) == (2, line + "\n", None), case
-
-
 def test_family_decisions_match_the_member_loop(tmp_path, capsys):
     for kind, two_l in FAMILIES:
         for relation in RELATION_KINDS:
@@ -260,11 +197,21 @@ def built_outputs(tmp_path, capsys, monkeypatch, tol):
         monkeypatch.delenv(ENV_TOLERANCE_VAR, raising=False)
     else:
         monkeypatch.setenv(ENV_TOLERANCE_VAR, tol)
-    # a cold cache, so every family builds its components under ``tol``
-    lur.family_moments.cache_clear()
-    runs = [family_argv(kind, two_l, "0:1:0.05", "l3") for kind, two_l in FAMILIES]
+    runs = [
+        ["family", "--kind", kind, "--grid=0:1:0.05", "--relation", "l3"]
+        + ([] if two_l is None else ["--two-l", str(two_l)])
+        for kind, two_l in FAMILIES
+    ]
     runs += [["state-gen", *argv] for argv in STATE_GEN]
-    return cli_outputs(tmp_path, capsys, runs)
+    outputs = []
+    for argv in runs:
+        out = tmp_path / "out"
+        if out.exists():
+            out.unlink()
+        code = cli.main(argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        outputs.append((code, captured.out, captured.err, out.read_bytes() if out.exists() else None))
+    return outputs
 
 
 def test_built_states_ignore_the_validation_tolerance(tmp_path, capsys, monkeypatch):

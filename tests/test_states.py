@@ -57,6 +57,14 @@ def test_validate_maximally_mixed():
     assert abs(purity(rho) - 0.25) < 1e-12
 
 
+@pytest.mark.parametrize("dims", [1, 4, (2, 2), (3, 3), (7, 5), (12, 12)])
+def test_maximally_mixed_holds_the_bits_of_eye_over_d(dims):
+    # family CSVs and certificates print these numbers to 17 digits
+    total = int(np.prod(dims))
+    expected = np.eye(total, dtype=complex) / total
+    assert maximally_mixed(dims).matrix.tobytes() == expected.tobytes()
+
+
 def test_validate_rejects_negative_eigenvalue():
     with pytest.raises(NotPositiveError, match="-2.000e-01"):
         validate(np.diag([0.6, 0.6, -0.2]), (3,))
