@@ -23,8 +23,8 @@ from .linalg import (
     BoundFileError,
     InvalidParameterError,
     LurcertError,
-    Tolerances,
     ensure_hermitian,
+    tolerance_from_env,
 )
 from .lur import (
     JointOperatorSet,
@@ -73,6 +73,8 @@ class _Parser(argparse.ArgumentParser):
 MAX_GRID_POINTS = 10**6
 # 2l <= 63 keeps N <= 64, so a joint state is at most 4096 x 4096 (256 MiB)
 MAX_TWO_L = 63
+# the level number, as 2l, of each kind whose states fix it
+FIXED_TWO_L = {"xdecoherence": 2, "bell": 1, "minuncert3": 2}
 
 
 def _fmt(x: float) -> str:
@@ -184,8 +186,7 @@ def _joint_from_bound_doc(doc, label: str) -> JointOperatorSet:
 
 
 def cmd_certify(args) -> int:
-    tolerances = Tolerances.from_env()
-    rho = read_state(args.state, tolerances)
+    rho = read_state(args.state, tolerance_from_env())
     if not rho.is_bipartite:
         raise InvalidParameterError(
             f"certification needs a bipartite state file (two dims), got dims {list(rho.dims)}"
@@ -212,19 +213,23 @@ def _family_params(kind: str, spin: SpinQuantum | None, value: float) -> tuple:
     return value, 1.0 - value, 0.0, 0.0
 
 
+def _check_fixed_two_l(command: str, args) -> None:
+    """Refuse a ``--two-l`` other than the one that ``args.kind`` fixes."""
+    expected = FIXED_TWO_L.get(args.kind)
+    if expected is not None and args.two_l is not None and args.two_l != expected:
+        raise InvalidParameterError(
+            f"{command} {args.kind} is fixed at two_l={expected}, got --two-l {args.two_l}"
+        )
+
+
 def cmd_family(args) -> int:
     grid = _parse_grid(args.grid)
+    _check_fixed_two_l("family", args)
     spin = None
     if args.kind == "white":
         if args.two_l is None:
             raise InvalidParameterError("family white needs --two-l to fix the level number")
         spin = SpinQuantum(args.two_l)
-    elif args.two_l is not None:
-        expected = {"xdecoherence": 2, "bell": 1}[args.kind]
-        if args.two_l != expected:
-            raise InvalidParameterError(
-                f"family {args.kind} is fixed at two_l={expected}, got --two-l {args.two_l}"
-            )
     lines = ["parameter,total,local_limit,C,closed_form_C,abs_difference"]
     joint = moments = None
     for value in grid:
@@ -322,6 +327,7 @@ def cmd_search_bound(args) -> int:
 
 
 def cmd_state_gen(args) -> int:
+    _check_fixed_two_l("state-gen", args)
     kind = args.kind
     if kind == "singlet":
         if args.two_l is None:

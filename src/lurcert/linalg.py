@@ -1,15 +1,14 @@
 """Dense complex linear algebra shared by all modules.
 
 Operators and states are plain numpy ``complex128`` square arrays.  This
-module owns the centralized validation tolerances and the structured
-errors raised when an input breaks a contract.
+module owns the validation tolerance and the structured errors raised
+when an input breaks a contract.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,42 +39,28 @@ class BoundFileError(InvalidParameterError):
     code = "bound-file"
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Validation tolerances, kept in one place.
-
-    ``hermiticity``, ``trace_deviation`` and ``positivity_floor`` gate state
-    and operator validation; ``from_env`` sets all three from one
-    environment variable.  Certified uncertainty bounds never depend on
-    these.
-    """
-
-    hermiticity: float = 1e-9
-    positivity_floor: float = -1e-9
-    trace_deviation: float = 1e-9
-
-    @classmethod
-    def from_env(cls) -> "Tolerances":
-        """Default tolerances, with the validation epsilon overridden by
-        the ``LURCERT_VALIDATION_TOL`` environment variable when set."""
-        raw = os.environ.get(ENV_TOLERANCE_VAR)
-        if raw is None:
-            return cls()
-        try:
-            eps = float(raw)
-        except ValueError as exc:
-            raise InvalidParameterError(
-                f"{ENV_TOLERANCE_VAR} must be a number, got {raw!r}"
-            ) from exc
-        if not eps > 0:
-            raise InvalidParameterError(f"{ENV_TOLERANCE_VAR} must be positive, got {raw!r}")
-        # an infinite epsilon would switch every validation check off
-        if not math.isfinite(eps):
-            raise InvalidParameterError(f"{ENV_TOLERANCE_VAR} must be finite, got {raw!r}")
-        return replace(cls(), hermiticity=eps, trace_deviation=eps, positivity_floor=-eps)
+# The one validation tolerance: a state's deviation from Hermiticity and
+# from unit trace may reach it, and its smallest eigenvalue may reach minus
+# it.  Certified uncertainty bounds never depend on it.
+DEFAULT_TOLERANCE = 1e-9
 
 
-DEFAULT_TOLERANCES = Tolerances()
+def tolerance_from_env() -> float:
+    """The validation tolerance: ``LURCERT_VALIDATION_TOL`` when set, else
+    ``DEFAULT_TOLERANCE``."""
+    raw = os.environ.get(ENV_TOLERANCE_VAR)
+    if raw is None:
+        return DEFAULT_TOLERANCE
+    try:
+        eps = float(raw)
+    except ValueError as exc:
+        raise InvalidParameterError(f"{ENV_TOLERANCE_VAR} must be a number, got {raw!r}") from exc
+    if not eps > 0:
+        raise InvalidParameterError(f"{ENV_TOLERANCE_VAR} must be positive, got {raw!r}")
+    # an infinite epsilon would switch every validation check off
+    if not math.isfinite(eps):
+        raise InvalidParameterError(f"{ENV_TOLERANCE_VAR} must be finite, got {raw!r}")
+    return eps
 
 
 def as_square_matrix(data) -> np.ndarray:
@@ -101,11 +86,10 @@ def hermiticity_deviation(a: np.ndarray) -> float:
 
 
 def ensure_hermitian(a, what: str = "matrix") -> np.ndarray:
-    tol = DEFAULT_TOLERANCES.hermiticity
     a = as_square_matrix(a)
     dev = hermiticity_deviation(a)
-    if dev > tol:
+    if dev > DEFAULT_TOLERANCE:
         raise NotHermitianError(
-            f"{what} deviates from Hermiticity by {dev:.3e} (tolerance {tol:.1e})"
+            f"{what} deviates from Hermiticity by {dev:.3e} (tolerance {DEFAULT_TOLERANCE:.1e})"
         )
     return a

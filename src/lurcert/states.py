@@ -17,11 +17,10 @@ import numpy as np
 
 from . import linalg
 from .linalg import (
-    DEFAULT_TOLERANCES,
+    DEFAULT_TOLERANCE,
     DimensionMismatchError,
     InvalidParameterError,
     NotHermitianError,
-    Tolerances,
 )
 from .spin_ops import SpinQuantum, spin_components
 
@@ -54,15 +53,23 @@ class DensityMatrix:
 
     ``dims`` is ``(d,)`` for a single system or ``(d_a, d_b)`` for a
     bipartite one.  The stored matrix is kept exactly as supplied, so file
-    round trips are bit-exact.
+    round trips are bit-exact.  ``tolerance`` (None for
+    ``DEFAULT_TOLERANCE``) bounds the deviations from Hermiticity and from
+    unit trace, and minus it is the floor for the smallest eigenvalue.
     """
 
     matrix: np.ndarray
     dims: tuple[int, ...]
-    tolerances: InitVar[Tolerances | None] = None
+    tolerance: InitVar[float | None] = None
 
-    def __post_init__(self, tolerances):
-        tol = tolerances or DEFAULT_TOLERANCES
+    def __post_init__(self, tolerance):
+        tol = DEFAULT_TOLERANCE if tolerance is None else tolerance
+        # NaN fails every comparison, and an infinite tolerance would accept
+        # any state with finite entries
+        if not 0 < tol < math.inf:
+            raise InvalidParameterError(
+                f"validation tolerance must be a finite number above zero, got {tol!r}"
+            )
         m = linalg.as_square_matrix(self.matrix)
 
         dims = self.dims
@@ -81,25 +88,25 @@ class DensityMatrix:
         # path.
         checked = _real_if_real(m)
         dev = linalg.hermiticity_deviation(checked)
-        if dev > tol.hermiticity:
+        if dev > tol:
             raise NotHermitianError(
-                f"state deviates from Hermiticity by {dev:.3e} (tolerance {tol.hermiticity:.1e})"
+                f"state deviates from Hermiticity by {dev:.3e} (tolerance {tol:.1e})"
             )
         tr = np.trace(m)
-        if abs(tr - 1.0) > tol.trace_deviation:
+        if abs(tr - 1.0) > tol:
             raise TraceNotOneError(f"state trace is {tr:.17g}, expected 1")
-        # Accept when rho - floor*1 has a Cholesky factor, at a fraction of
+        # Accept when rho + tol*1 has a Cholesky factor, at a fraction of
         # the cost of an eigensolve; both read the lower triangle.  When the
-        # factorization fails (a state below the floor, or a singular one at
-        # floor 0) the smallest eigenvalue decides, as it always has.  The
-        # copy is C-ordered so that its flat view steps along the diagonal.
+        # factorization fails the smallest eigenvalue decides against the
+        # floor -tol, as it always has.  The copy is C-ordered so that its
+        # flat view steps along the diagonal.
         shifted = np.array(checked, order="C")
-        shifted.reshape(-1)[:: shifted.shape[0] + 1] -= tol.positivity_floor
+        shifted.reshape(-1)[:: shifted.shape[0] + 1] += tol
         try:
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             least = np.linalg.eigvalsh(checked)[0]
-            if least < tol.positivity_floor:
+            if least < -tol:
                 raise NotPositiveError(
                     f"state is not positive semidefinite: min eigenvalue {least:.3e}"
                 ) from None
@@ -142,9 +149,9 @@ def _real_if_real(m: np.ndarray) -> np.ndarray:
     return m if m.imag.any() else m.real
 
 
-def validate(matrix, dims, tolerances: Tolerances | None = None) -> DensityMatrix:
+def validate(matrix, dims, tolerance: float | None = None) -> DensityMatrix:
     """Check Hermiticity, unit trace and positivity; return the validated state."""
-    return DensityMatrix(matrix, dims, tolerances)
+    return DensityMatrix(matrix, dims, tolerance)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -198,10 +205,11 @@ class PureState:
 
 def _check_probabilities(weights, what: str = "probabilities") -> tuple[float, ...]:
     ws = tuple(float(w) for w in weights)
+    # negated, so that NaN fails both tests
     for w in ws:
-        if w < 0:
+        if not w >= 0:
             raise InvalidParameterError(f"{what} must be nonnegative, got {w}")
-    if abs(sum(ws) - 1.0) > 1e-12:
+    if not abs(sum(ws) - 1.0) <= 1e-12:
         raise InvalidParameterError(f"{what} must sum to 1, got {sum(ws):.17g}")
     return ws
 
@@ -319,7 +327,7 @@ def x_decoherence_mixture(p_d) -> DensityMatrix:
 
 def family_components(kind: str, spin: SpinQuantum | None = None) -> tuple[DensityMatrix, ...]:
     """The fixed states that every member of family ``kind`` mixes, each
-    validated under the default tolerances, as every built-in state is: the
+    validated at the default tolerance, as every built-in state is: the
     spin-``spin`` singlet and the maximally mixed N x N state (``white``),
     the spin-1 singlet and the three anticorrelated L_x product states
     (``xdecoherence``), and the Bell states S, T1, T2, T3 (``bell``).
@@ -412,7 +420,7 @@ def parse_json(text: str, prefix: str = ""):
         raise StateFormatError(f"{prefix}{exc}") from exc
 
 
-def state_from_json(text: str, tolerances: Tolerances | None = None) -> DensityMatrix:
+def state_from_json(text: str, tolerance: float | None = None) -> DensityMatrix:
     doc = parse_json(text, "state file is not valid JSON: ")
     if not isinstance(doc, dict) or set(doc) != {"dims", "matrix"}:
         raise StateFormatError('state file must be an object with keys "dims" and "matrix"')
@@ -424,7 +432,7 @@ def state_from_json(text: str, tolerances: Tolerances | None = None) -> DensityM
     ):
         raise StateFormatError('"dims" must be a list of one or two positive integers')
     matrix = matrix_from_rows(doc["matrix"], math.prod(dims), '"matrix"', StateFormatError)
-    return DensityMatrix(matrix, tuple(dims), tolerances)
+    return DensityMatrix(matrix, tuple(dims), tolerance)
 
 
 def matrix_from_rows(rows, size: int, what: str, error: type[Exception]) -> np.ndarray:
@@ -472,8 +480,8 @@ def write_state(state: DensityMatrix, path) -> None:
     Path(path).write_text(state_to_json(state) + "\n", encoding="utf-8")
 
 
-def read_state(path, tolerances: Tolerances | None = None) -> DensityMatrix:
-    return state_from_json(read_utf8(path, "state file is not UTF-8 text: "), tolerances)
+def read_state(path, tolerance: float | None = None) -> DensityMatrix:
+    return state_from_json(read_utf8(path, "state file is not UTF-8 text: "), tolerance)
 
 
 def state_digest(state: DensityMatrix) -> str:

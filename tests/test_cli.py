@@ -606,6 +606,38 @@ def test_two_l_cap_boundary(capsys):
     assert structured_error(capsys.readouterr()).startswith("error[invalid-parameter]:")
 
 
+# the arguments, but --two-l, of each kind that fixes its level number
+FIXED_LEVEL_ARGS = {
+    ("family", "bell"): ("--grid", "0:1:0.5", "--relation", "s3"),
+    ("family", "xdecoherence"): ("--grid", "0:1:0.5", "--relation", "s3"),
+    ("state-gen", "bell"): ("--ps", "0.7", "--p1", "0.3", "--p2", "0", "--p3", "0"),
+    ("state-gen", "minuncert3"): ("--phi", "0.3"),
+    ("state-gen", "xdecoherence"): ("--p", "0.3"),
+}
+
+
+@pytest.mark.parametrize("command, kind", sorted(FIXED_LEVEL_ARGS))
+@pytest.mark.parametrize("offset", [0, 3])
+def test_a_fixed_level_number_is_checked_not_ignored(command, kind, offset, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = (command, "--kind", kind, *FIXED_LEVEL_ARGS[command, kind], "--out", str(out))
+    assert run(*argv) == 0
+    unset = out.read_bytes()
+    out.unlink()
+    capsys.readouterr()
+    two_l = cli.FIXED_TWO_L[kind] + offset
+    code = run(*argv, "--two-l", str(two_l))
+    if offset == 0:
+        # the level number the kind fixes is accepted, and changes no byte
+        assert code == 0 and out.read_bytes() == unset
+    else:
+        assert code == 2 and not out.exists()
+        assert structured_error(capsys.readouterr()) == (
+            f"error[invalid-parameter]: {command} {kind} is fixed at "
+            f"two_l={cli.FIXED_TWO_L[kind]}, got --two-l {two_l}"
+        )
+
+
 def test_state_dims_product_does_not_wrap(tmp_path, capsys):
     # 4 * 4611686018427387905 is 4 modulo 2^64
     doc = json.loads(state_to_json(maximally_mixed((2, 2))))

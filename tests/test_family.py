@@ -79,9 +79,9 @@ def test_family_validates_each_component_once(tmp_path, capsys, monkeypatch, gri
     original = states.DensityMatrix.__post_init__
     validations = []
 
-    def counting(self, tolerances):
+    def counting(self, tolerance):
         validations.append(self)
-        original(self, tolerances)
+        original(self, tolerance)
 
     monkeypatch.setattr(states.DensityMatrix, "__post_init__", counting)
     for kind, two_l, components in (("white", 11, 2), ("xdecoherence", None, 4), ("bell", None, 4)):
@@ -115,6 +115,7 @@ def test_family_weights_refuse_as_the_constructors_do():
         ("xdecoherence", (2.0,)),
         ("bell", (0.5, 0.6, 0.0, 0.0)),
         ("bell", (1.5, -0.5, 0.0, 0.0)),
+        ("bell", (float("nan"), 0.0, 0.0, 0.0)),
     ):
         with pytest.raises(LurcertError) as built:
             CONSTRUCTORS[kind](*params)
@@ -216,7 +217,7 @@ def built_outputs(tmp_path, capsys, monkeypatch, tol):
 
 def test_built_states_ignore_the_validation_tolerance(tmp_path, capsys, monkeypatch):
     # The variable is the slack for states read from files; a state the
-    # program builds is validated at the default tolerances whatever it
+    # program builds is validated at the default tolerance whatever it
     # says, so a value below the rounding of a unit trace or one that
     # certify would refuse changes no byte
     unset = built_outputs(tmp_path, capsys, monkeypatch, None)

@@ -6,7 +6,6 @@ from lurcert.linalg import (
     DimensionMismatchError,
     InvalidParameterError,
     NotHermitianError,
-    Tolerances,
 )
 from lurcert.spin_ops import SpinQuantum, ladder_raising, spin_components
 from lurcert.states import singlet_state
@@ -81,15 +80,12 @@ def test_matrices_are_coerced_once_per_check(monkeypatch):
 
 def test_tolerances_from_env(monkeypatch):
     monkeypatch.delenv(linalg.ENV_TOLERANCE_VAR, raising=False)
-    assert linalg.Tolerances.from_env() == Tolerances()
+    assert linalg.tolerance_from_env() == linalg.DEFAULT_TOLERANCE == 1e-9
     monkeypatch.setenv(linalg.ENV_TOLERANCE_VAR, "1e-6")
-    tol = linalg.Tolerances.from_env()
-    assert tol.hermiticity == 1e-6
-    assert tol.trace_deviation == 1e-6
-    assert tol.positivity_floor == -1e-6
+    assert linalg.tolerance_from_env() == 1e-6
     monkeypatch.setenv(linalg.ENV_TOLERANCE_VAR, "bogus")
-    with pytest.raises(InvalidParameterError):
-        linalg.Tolerances.from_env()
+    with pytest.raises(InvalidParameterError, match="must be a number, got 'bogus'"):
+        linalg.tolerance_from_env()
 
 
 @pytest.mark.parametrize("raw", ["inf", "Infinity", "1e400", "nan", "-inf", "0", "-1e-6"])
@@ -97,7 +93,7 @@ def test_tolerances_from_env_refuses_non_finite_and_non_positive(raw, monkeypatc
     # an infinite epsilon would accept any state with finite entries
     monkeypatch.setenv(linalg.ENV_TOLERANCE_VAR, raw)
     with pytest.raises(InvalidParameterError, match=linalg.ENV_TOLERANCE_VAR):
-        linalg.Tolerances.from_env()
+        linalg.tolerance_from_env()
 
 
 def _difference_deviation(a):
@@ -126,7 +122,7 @@ def test_hermiticity_deviation_is_the_difference_deviation(dim, real):
     if not real:
         g = g + 1j * rng.standard_normal((dim, dim))
     h = (g + g.conj().T) / 2
-    tol = linalg.DEFAULT_TOLERANCES.hermiticity
+    tol = linalg.DEFAULT_TOLERANCE
     for skew in (0.5 * tol, 2 * tol):
         a = h + 1e-13 * rng.standard_normal((dim, dim))
         a[0, 1] += skew

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lurcert import lur, states
-from lurcert.linalg import DimensionMismatchError, InvalidParameterError, LurcertError, Tolerances
+from lurcert.linalg import DimensionMismatchError, InvalidParameterError, LurcertError
 from lurcert.lur import (
     RELATION_KINDS,
     VERDICT_MARGIN,
@@ -146,6 +146,7 @@ def test_closed_form_table_blanks_and_checks():
         ("white", (SpinQuantum(2), 1.5)),
         ("xdecoherence", (-0.1,)),
         ("bell", (0.9, 0.9, 0.0, 0.0)),
+        ("bell", (float("nan"), 0.0, 0.0, 0.0)),
         ("thermal", (0.5,)),
     ):
         with pytest.raises(InvalidParameterError):
@@ -372,7 +373,7 @@ def test_certify_keeps_the_imaginary_part_guard():
     # passes validation but leaves Tr(rho J) with an imaginary part
     g = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
     matrix = maximally_mixed((2, 2)).matrix + 1e-4j * g
-    rho = DensityMatrix(matrix, (2, 2), Tolerances(hermiticity=1e-3))
+    rho = DensityMatrix(matrix, (2, 2), 1e-3)
     with pytest.raises(LurcertError, match="imaginary part") as err:
         certify(rho, joint_from_catalog("s3", 2, 2))
     assert err.value.code == "not-hermitian"
@@ -380,12 +381,12 @@ def test_certify_keeps_the_imaginary_part_guard():
 
 def test_certify_keeps_the_negative_variance_floor():
     # (1 + eps)|S><S| - eps|up up><up up| has eigenvalue -eps and a negative
-    # joint variance -eps <J^2>, which only a loosened positivity floor admits
+    # joint variance -eps <J^2>, which only a loosened tolerance admits
     eps = 1e-4
     up_up = np.zeros((4, 4), dtype=complex)
     up_up[0, 0] = 1.0
     matrix = (1 + eps) * singlet_state(SpinQuantum(1)).matrix - eps * up_up
-    rho = DensityMatrix(matrix, (2, 2), Tolerances(positivity_floor=-1e-3))
+    rho = DensityMatrix(matrix, (2, 2), 1e-3)
     with pytest.raises(LurcertError, match="negative beyond tolerance") as err:
         certify(rho, joint_from_catalog("s3", 2, 2))
     assert err.value.code == "not-positive"

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from lurcert.linalg import (
+    DEFAULT_TOLERANCE,
     DimensionMismatchError,
     InvalidParameterError,
     NotHermitianError,
-    Tolerances,
 )
 from lurcert.spin_ops import SpinQuantum, spin_components
 from lurcert.states import (
+    DensityMatrix,
     NotPositiveError,
     PureState,
     StateFormatError,
@@ -22,6 +23,7 @@ from lurcert.states import (
     bell_states,
     maximally_mixed,
     min_uncertainty_state_n3,
+    read_state,
     singlet_ket,
     singlet_state,
     state_digest,
@@ -98,7 +100,28 @@ def test_validate_env_tolerance_widening():
     m = np.diag([1.2, -0.2])
     with pytest.raises(NotPositiveError):
         validate(m, (2,))
-    assert validate(m, (2,), Tolerances(positivity_floor=-0.5)).dim == 2
+    assert validate(m, (2,), 0.5).dim == 2
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, 0.0, -1e-6])
+def test_a_tolerance_that_is_not_finite_and_positive_is_refused(tolerance, tmp_path):
+    # [[5, 3], [0, -7]] has trace -2, is not Hermitian and is indefinite;
+    # a NaN tolerance used to accept it, since every comparison was false
+    for m in (np.array([[5.0, 3.0], [0.0, -7.0]]), np.eye(2) / 2):
+        text = json.dumps({"dims": [2], "matrix": [[[x, 0] for x in row] for row in m.tolist()]})
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        for build in (
+            lambda: DensityMatrix(m, (2,), tolerance),
+            lambda: validate(m, (2,), tolerance),
+            lambda: state_from_json(text, tolerance),
+            lambda: read_state(path, tolerance),
+        ):
+            with pytest.raises(InvalidParameterError) as err:
+                build()
+            assert str(err.value) == (
+                f"validation tolerance must be a finite number above zero, got {tolerance!r}"
+            )
 
 
 # --- real-arithmetic validation -------------------------------------------
@@ -240,9 +263,9 @@ def eigvalsh_rule(m, floor):
     return True, None
 
 
-def positivity_decision(m, tolerances=None):
+def positivity_decision(m, tolerance=None):
     try:
-        validate(m, (len(m),), tolerances)
+        validate(m, (len(m),), tolerance)
     except NotPositiveError as exc:
         return False, str(exc)
     return True, None
@@ -265,46 +288,62 @@ def state_with_least_eigenvalue(least, dim, real, rng):
 @pytest.mark.parametrize("dim", [2, 4, 9, 16, 144])
 def test_factorization_decides_as_eigvalsh_at_the_floor(dim, real):
     rng = np.random.default_rng([24, dim, real])
-    for floor in (-1e-9, -1e-6, 0.0, 1e-4):
-        tolerances = Tolerances(positivity_floor=floor)
+    for tolerance in (1e-9, 1e-6, 1e-3):
+        floor = -tolerance
         for offset in (1e-12, -1e-12):
             m = state_with_least_eigenvalue(floor + offset, dim, real, rng)
             assert bool(m.imag.any()) is not real
             expected = eigvalsh_rule(m, floor)
             # the construction lands on the intended side of the floor
             assert expected[0] is (offset > 0)
-            assert positivity_decision(m, tolerances) == expected
-            assert positivity_decision(np.asfortranarray(m), tolerances) == expected
+            assert positivity_decision(m, tolerance) == expected
+            assert positivity_decision(np.asfortranarray(m), tolerance) == expected
 
 
 @pytest.mark.parametrize("phase", [1.0, np.exp(0.7j)], ids=["real", "complex"])
 def test_the_lower_triangle_decides_as_eigvalsh_reads_it(phase):
-    tol = Tolerances()
-    inside = 0.5 - tol.positivity_floor - 1e-12  # lambda_min = floor + 1e-12
+    floor = -DEFAULT_TOLERANCE
+    inside = 0.5 - floor - 1e-12  # lambda_min = floor + 1e-12
     outside = inside + 5e-10  # lambda_min = floor - 5e-10 + 1e-12
     for lower, upper in ((inside, outside), (outside, inside)):
         m = np.array([[0.5, np.conj(upper * phase)], [lower * phase, 0.5]])
-        assert 0 < np.abs(m - m.conj().T).max() <= tol.hermiticity
+        assert 0 < np.abs(m - m.conj().T).max() <= DEFAULT_TOLERANCE
         # the two triangles disagree about positivity ...
-        assert bool(np.linalg.eigvalsh(m, UPLO="U")[0] >= tol.positivity_floor) is (upper == inside)
+        assert bool(np.linalg.eigvalsh(m, UPLO="U")[0] >= floor) is (upper == inside)
         # ... and validation sides with eigvalsh, which reads the lower one
-        expected = eigvalsh_rule(m, tol.positivity_floor)
+        expected = eigvalsh_rule(m, floor)
         assert expected[0] is (lower == inside)
         assert positivity_decision(m) == expected
 
 
-def test_zero_floor_accepts_a_projector_through_the_fallback(monkeypatch):
-    exact = Tolerances(positivity_floor=0.0)
+def test_eigvalsh_decides_where_the_factorization_fails(monkeypatch):
+    def no_factor(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    # with every factorization failing, the spectrum alone decides, against
+    # the floor -DEFAULT_TOLERANCE
+    monkeypatch.setattr(np.linalg, "cholesky", no_factor)
     calls = record_solvers(monkeypatch)
-    for m in (np.diag([1.0, 0.0]), np.diag([0.0, 0.0, 1.0, 0.0]),
-              tiny_imaginary_pair(np.diag([0.0, 1.0, 0.0]))):
+    floor = -DEFAULT_TOLERANCE
+    rng = np.random.default_rng(25)
+    cases = [np.diag([1.0, 0.0]), tiny_imaginary_pair(np.diag([0.0, 1.0, 0.0]))]
+    cases += [
+        state_with_least_eigenvalue(floor + offset, 4, real, rng)
+        for offset in (1e-12, -1e-12)
+        for real in (True, False)
+    ]
+    cases.append(np.diag([0.6, 0.6, -0.2]))
+    decisions = []
+    for m in cases:
+        expected = eigvalsh_rule(m, floor)
         del calls[:]
-        validate(m, (len(m),), exact)
-        # a singular matrix has no Cholesky factor; the spectrum accepts it
-        (factor, _, failure), (solve, _, spectrum) = calls
+        assert positivity_decision(m) == expected
+        (factor, _, failure), (solve, _, _) = calls
         assert (factor, solve) == ("cholesky", "eigvalsh")
         assert isinstance(failure, np.linalg.LinAlgError)
-        assert spectrum[0] >= 0.0
+        decisions.append(expected)
+    assert [accepted for accepted, _ in decisions] == [True] * 4 + [False] * 3
+    assert decisions[-1][1] == "state is not positive semidefinite: min eigenvalue -2.000e-01"
 
 
 def test_not_positive_message_is_unchanged():
