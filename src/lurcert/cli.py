@@ -51,6 +51,7 @@ from .states import (
     singlet_state,
     white_noise_mixture,
     write_state,
+    write_utf8,
     x_decoherence_mixture,
 )
 from .uncertainty import CATALOG_KINDS, NUMERICALLY_CERTIFIED, UncertaintyRelation, catalog_bound
@@ -200,7 +201,7 @@ def cmd_certify(args) -> int:
     print(f"relative violation C:      {_fmt(cert.relative_violation)}")
     print(f"verdict: {'ENTANGLED' if cert.entangled else 'no violation (not a separability proof)'}")
     if args.json:
-        Path(args.json).write_text(json.dumps(cert.to_json_dict(), indent=2) + "\n", encoding="utf-8")
+        write_utf8(args.json, json.dumps(cert.to_json_dict(), indent=2) + "\n")
     return EXIT_ENTANGLED if cert.entangled else EXIT_OK
 
 
@@ -255,7 +256,7 @@ def cmd_family(args) -> int:
             f"{_fmt(value)},{_fmt(row.total)},{_fmt(joint.local_limit)},"
             f"{_fmt(row.relative_violation)},{closed_s},{diff_s}"
         )
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_utf8(args.out, "\n".join(lines) + "\n")
     print(f"wrote {len(grid)} rows to {args.out}")
     return EXIT_OK
 
@@ -321,7 +322,7 @@ def cmd_search_bound(args) -> int:
                 "stops": stops,
             },
         }
-        Path(args.emit_bound).write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        write_utf8(args.emit_bound, json.dumps(doc) + "\n")
         print(f"wrote bound file to {args.emit_bound}")
     return EXIT_OK
 

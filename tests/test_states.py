@@ -103,7 +103,9 @@ def test_validate_env_tolerance_widening():
     assert validate(m, (2,), 0.5).dim == 2
 
 
-@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, 0.0, -1e-6])
+@pytest.mark.parametrize(
+    "tolerance", [math.nan, math.inf, -math.inf, 0.0, -1e-6, "1e-6", [1e-6], 1e-6 + 0j]
+)
 def test_a_tolerance_that_is_not_finite_and_positive_is_refused(tolerance, tmp_path):
     # [[5, 3], [0, -7]] has trace -2, is not Hermitian and is indefinite;
     # a NaN tolerance used to accept it, since every comparison was false
@@ -122,6 +124,11 @@ def test_a_tolerance_that_is_not_finite_and_positive_is_refused(tolerance, tmp_p
             assert str(err.value) == (
                 f"validation tolerance must be a finite number above zero, got {tolerance!r}"
             )
+
+
+@pytest.mark.parametrize("tolerance", [None, 1e-6, np.float64(1e-6)])
+def test_a_number_or_none_is_a_tolerance(tolerance):
+    assert DensityMatrix(np.eye(2) / 2, (2,), tolerance).dims == (2,)
 
 
 # --- real-arithmetic validation -------------------------------------------
