@@ -68,7 +68,8 @@ def as_square_matrix(data) -> np.ndarray:
     m = np.asarray(data, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    # count_nonzero, at a fraction of the call cost of the .all() reduction
+    if np.count_nonzero(np.isfinite(m)) < m.size:
         raise InvalidParameterError("matrix entries must be finite")
     return m
 

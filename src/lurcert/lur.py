@@ -196,22 +196,26 @@ def joint_moments(
     Both are linear in ``rho``, so the moments of a mixture are the same
     mixture of its components' moments.
     """
-    if not rho.is_bipartite:
+    if not isinstance(rho, DensityMatrix):
+        raise InvalidParameterError(f"certification needs a DensityMatrix, got {type(rho).__name__}")
+    dims = rho.dims
+    if len(dims) != 2:
         raise DimensionMismatchError("certification needs a bipartite state with dims (d_a, d_b)")
-    if (rho.dim_a, rho.dim_b) != (joint.dim_a, joint.dim_b):
+    if dims != (joint.dim_a, joint.dim_b):
         raise DimensionMismatchError(
-            f"state dims {rho.dims} do not match joint operator dims "
-            f"({joint.dim_a}, {joint.dim_b})"
+            f"state dims {dims} do not match joint operator dims ({joint.dim_a}, {joint.dim_b})"
         )
     # Tr(rho J) and Tr(rho J^2) for J = A (x) 1 + 1 (x) B from the local
     # operators alone, O(D^2) per component.  With the state as
     # r[a, b, a', b'] and vec(O^T) . vec(X) = Tr(X O): <A (x) 1> =
     # Tr(rho_A A), <1 (x) B> = Tr(rho_B B), and <A (x) B> =
     # vec(A^T) . pairs . vec(B^T) with pairs[(a, a'), (b, b')] = r[a, b, a', b'].
-    da, db = rho.dim_a, rho.dim_b
+    # Each moment keeps its own products: numpy sends a one-row product to
+    # a dot kernel, which sums in another order than a stacked GEMV does.
+    da, db = dims
     r = rho.matrix.reshape(da, db, da, db)
-    rho_a = np.trace(r, axis1=1, axis2=3).reshape(-1)
-    rho_b = np.trace(r, axis1=0, axis2=2).reshape(-1)
+    rho_a = r.trace(axis1=1, axis2=3).reshape(-1)
+    rho_b = r.trace(axis1=0, axis2=2).reshape(-1)
     pairs = r.transpose(0, 2, 1, 3).reshape(da * da, db * db)
     vec_a, vec_b, sq_a, sq_b = joint.trace_rows
     scales = joint.guard_scales

@@ -55,10 +55,11 @@ class DensityMatrix:
     """Validated quantum state: Hermitian, unit trace, positive semidefinite.
 
     ``dims`` is ``(d,)`` for a single system or ``(d_a, d_b)`` for a
-    bipartite one.  The stored matrix is kept exactly as supplied, so file
-    round trips are bit-exact.  ``tolerance`` (None for
-    ``DEFAULT_TOLERANCE``) bounds the deviations from Hermiticity and from
-    unit trace, and minus it is the floor for the smallest eigenvalue.
+    bipartite one, in Python or numpy integers.  The stored matrix is kept
+    exactly as supplied, so file round trips are bit-exact.  ``tolerance``
+    (None for ``DEFAULT_TOLERANCE``) bounds the deviations from
+    Hermiticity and from unit trace, and minus it is the floor for the
+    smallest eigenvalue.
     """
 
     matrix: np.ndarray
@@ -75,13 +76,7 @@ class DensityMatrix:
                 f"validation tolerance must be a finite number above zero, got {tol!r}"
             )
         m = linalg.as_square_matrix(self.matrix)
-
-        dims = self.dims
-        if isinstance(dims, (int, np.integer)):
-            dims = (int(dims),)
-        dims = tuple(int(d) for d in dims)
-        if len(dims) not in (1, 2) or any(d < 1 for d in dims):
-            raise DimensionMismatchError(f"dims must be (d,) or (d_a, d_b) of positives, got {dims}")
+        dims = _checked_dims(self.dims)
         if math.prod(dims) != m.shape[0]:
             raise DimensionMismatchError(
                 f"dims {dims} imply dimension {math.prod(dims)}, matrix has {m.shape[0]}"
@@ -96,7 +91,7 @@ class DensityMatrix:
             raise NotHermitianError(
                 f"state deviates from Hermiticity by {dev:.3e} (tolerance {tol:.1e})"
             )
-        tr = np.trace(m)
+        tr = m.trace()
         if abs(tr - 1.0) > tol:
             raise TraceNotOneError(f"state trace is {tr:.17g}, expected 1")
         # Accept when rho + tol*1 has a Cholesky factor, at a fraction of
@@ -147,10 +142,25 @@ class DensityMatrix:
         return f"DensityMatrix(dims={self.dims})"
 
 
+def _checked_dims(dims) -> tuple[int, ...]:
+    """``dims`` as one or two positive ints, ``d`` standing for ``(d,)``;
+    a bool, a float or any other non-integer raises DimensionMismatchError."""
+    given = dims
+    try:
+        dims = (dims,) if isinstance(dims, (int, np.integer)) else tuple(dims)
+    except TypeError:
+        dims = ()
+    if len(dims) not in (1, 2) or not all(
+        isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1 for d in dims
+    ):
+        raise DimensionMismatchError(f"dims must be (d,) or (d_a, d_b) of positive integers, got {given!r}")
+    return tuple(map(int, dims))
+
+
 def _real_if_real(m: np.ndarray) -> np.ndarray:
     """The real part of the complex array ``m`` when it has no imaginary
     part, else ``m``."""
-    return m if m.imag.any() else m.real
+    return m if np.count_nonzero(m.imag) else m.real
 
 
 def validate(matrix, dims, tolerance: float | None = None) -> DensityMatrix:
@@ -225,18 +235,23 @@ def _check_fraction(p, name: str) -> float:
     return p
 
 
-def singlet_ket(spin: SpinQuantum) -> PureState:
-    """Two-party spin-l singlet (1/sqrt(N)) sum_m (-1)^(l-m) |m> (x) |-m>.
-
-    Annihilated by every joint component L_i(A) + L_i(B).
-    """
+def _singlet_amplitudes(spin: SpinQuantum) -> np.ndarray:
+    """The amplitudes of ``singlet_ket(spin)``, without its norm check."""
     if spin.two_l < 1:
         raise InvalidParameterError("no two-party singlet exists for l = 0")
     n = spin.dim
     vec = np.zeros(n * n, dtype=complex)
     for i in range(n):  # i = l - m, so the sign alternates with the index
         vec[i * n + (n - 1 - i)] = (-1) ** i
-    return PureState(vec / np.sqrt(n))
+    return vec / np.sqrt(n)
+
+
+def singlet_ket(spin: SpinQuantum) -> PureState:
+    """Two-party spin-l singlet (1/sqrt(N)) sum_m (-1)^(l-m) |m> (x) |-m>.
+
+    Annihilated by every joint component L_i(A) + L_i(B).
+    """
+    return PureState(_singlet_amplitudes(spin))
 
 
 def singlet_state(spin: SpinQuantum) -> DensityMatrix:
@@ -245,6 +260,14 @@ def singlet_state(spin: SpinQuantum) -> DensityMatrix:
     return singlet_ket(spin).projector(dims=(n, n))
 
 
+def _read_only_projector(amplitudes: np.ndarray) -> np.ndarray:
+    projector = np.outer(amplitudes, amplitudes.conj())
+    projector.setflags(write=False)
+    return projector
+
+
+# Built once, at import, and read-only: the Bell kets and projectors, the
+# spin-1 singlet projector and the anticorrelated L_x projectors below.
 _SQRT2 = np.sqrt(2.0)
 _BELL_KETS = {
     "S": PureState(np.array([0, 1, -1, 0], dtype=complex) / _SQRT2),
@@ -252,6 +275,8 @@ _BELL_KETS = {
     "T2": PureState(np.array([1, 0, 0, 1], dtype=complex) / _SQRT2),
     "T3": PureState(np.array([0, 1, 1, 0], dtype=complex) / _SQRT2),
 }
+_BELL_PROJECTORS = tuple(_read_only_projector(ket.amplitudes) for ket in _BELL_KETS.values())
+_SPIN1_SINGLET_PROJECTOR = _read_only_projector(_singlet_amplitudes(SpinQuantum(2)))
 
 
 def bell_kets() -> dict[str, PureState]:
@@ -265,16 +290,15 @@ def bell_kets() -> dict[str, PureState]:
 
 def bell_states() -> dict[str, DensityMatrix]:
     """Projectors onto the four Bell states, keyed S, T1, T2, T3."""
-    return {name: ket.projector(dims=(2, 2)) for name, ket in _BELL_KETS.items()}
+    return {name: DensityMatrix(p, (2, 2)) for name, p in zip(_BELL_KETS, _BELL_PROJECTORS)}
 
 
 def bell_mixture(p_s, p_1, p_2, p_3) -> DensityMatrix:
     """Mixture p_S |S><S| + p_1 |T1><T1| + p_2 |T2><T2| + p_3 |T3><T3|."""
     weights = _check_probabilities((p_s, p_1, p_2, p_3), what="Bell weights")
     matrix = np.zeros((4, 4), dtype=complex)
-    for w, name in zip(weights, ("S", "T1", "T2", "T3")):
-        amps = _BELL_KETS[name].amplitudes
-        matrix += w * np.outer(amps, amps.conj())
+    for w, projector in zip(weights, _BELL_PROJECTORS):
+        matrix += w * projector
     return DensityMatrix(matrix, (2, 2))
 
 
@@ -282,7 +306,7 @@ def white_noise_mixture(spin: SpinQuantum, p_w) -> DensityMatrix:
     """Singlet mixed with white noise: (1-p_W)|sing><sing| + p_W 1/N^2."""
     p_w = _check_fraction(p_w, "p_w")
     n = spin.dim
-    sing = singlet_ket(spin).amplitudes
+    sing = _singlet_amplitudes(spin)
     matrix = (1 - p_w) * np.outer(sing, sing.conj()) + p_w * np.eye(n * n) / (n * n)
     return DensityMatrix(matrix, (n, n))
 
@@ -302,13 +326,8 @@ def x_basis_kets() -> list[np.ndarray]:
 
 def _anticorrelated_x_projectors() -> tuple[np.ndarray, ...]:
     minus, zero, plus = x_basis_kets()
-    projectors = []
-    for a, b in ((minus, plus), (zero, zero), (plus, minus)):
-        prod = np.kron(a, b)
-        projector = np.outer(prod, prod.conj())
-        projector.setflags(write=False)
-        projectors.append(projector)
-    return tuple(projectors)
+    pairs = ((minus, plus), (zero, zero), (plus, minus))
+    return tuple(_read_only_projector(np.kron(a, b)) for a, b in pairs)
 
 
 _X_PRODUCT_PROJECTORS = _anticorrelated_x_projectors()
@@ -319,11 +338,10 @@ def x_decoherence_mixture(p_d) -> DensityMatrix:
 
     Mixes the singlet with the three anticorrelated L_x product states
     |m_x; -m_x>, so the joint uncertainty of L_x(A) + L_x(B) stays zero for
-    every p_D.  Their projectors are built once, at import.
+    every p_D.  All four projectors are built once, at import.
     """
     p_d = _check_fraction(p_d, "p_d")
-    sing = singlet_ket(SpinQuantum(2)).amplitudes
-    matrix = (1 - p_d) * np.outer(sing, sing.conj())
+    matrix = (1 - p_d) * _SPIN1_SINGLET_PROJECTOR
     for projector in _X_PRODUCT_PROJECTORS:
         matrix += (p_d / 3) * projector
     return DensityMatrix(matrix, (3, 3))
@@ -342,9 +360,8 @@ def family_components(kind: str, spin: SpinQuantum | None = None) -> tuple[Densi
         n = spin.dim
         return singlet_state(spin), maximally_mixed((n, n))
     if kind == "xdecoherence":
-        return (
-            singlet_state(SpinQuantum(2)),
-            *(DensityMatrix(p, (3, 3)) for p in _X_PRODUCT_PROJECTORS),
+        return tuple(
+            DensityMatrix(p, (3, 3)) for p in (_SPIN1_SINGLET_PROJECTOR, *_X_PRODUCT_PROJECTORS)
         )
     if kind == "bell":
         return tuple(bell_states().values())
@@ -380,8 +397,8 @@ def min_uncertainty_state_n3(phi: float) -> PureState:
 
 
 def maximally_mixed(dims) -> DensityMatrix:
-    dims = (dims,) if isinstance(dims, (int, np.integer)) else tuple(dims)
-    total = int(np.prod(dims))
+    dims = _checked_dims(dims)
+    total = math.prod(dims)
     # the numbers of eye / total, without a complex division or a second
     # D x D array
     return DensityMatrix(np.diag(np.full(total, 1 / total, dtype=complex)), dims)
