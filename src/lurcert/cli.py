@@ -33,8 +33,9 @@ from .lur import (
     closed_form_violation,
     joint_from_catalog,
     joint_from_relations,
-    joint_moments,
     score,
+    _ket_moments,
+    _mixed_moments,
 )
 from .bound_search import SearchConfig, minimize_sum_uncertainty
 from .spin_ops import OperatorSet, SpinQuantum, spin_subset, stokes_subset
@@ -72,7 +73,7 @@ class _Parser(argparse.ArgumentParser):
 
 # a family grid allocates one float per point before any state is built
 MAX_GRID_POINTS = 10**6
-# 2l <= 63 keeps N <= 64, so a joint state is at most 4096 x 4096 (256 MiB)
+# 2l <= 63 keeps N <= 64: a state-gen or certify state is at most 4096 x 4096 (256 MiB)
 MAX_TWO_L = 63
 # the level number, as 2l, of each kind whose states fix it
 FIXED_TWO_L = {"xdecoherence": 2, "bell": 1, "minuncert3": 2}
@@ -237,14 +238,17 @@ def cmd_family(args) -> int:
         params = _family_params(args.kind, spin, value)
         weights = family_weights(args.kind, params)
         if moments is None:
-            # Every member is a convex mixture of the same validated
-            # components, and its moments are that mixture of theirs.
-            # Built after the first row's weights are checked, so a bad
-            # grid value, a refused state and a relation for other dims
-            # are met in the order a member-by-member sweep met them.
+            # Every member is a convex mixture of the same components, and
+            # its moments are that mixture of theirs, each from a ket or 1/D
+            # with no D x D matrix.  Built after the first row's weights are
+            # checked, so a bad grid value, a refused state and a relation for
+            # other dims are met in the order a member-by-member sweep met them.
             components = family_components(args.kind, spin)
-            joint = joint_from_catalog(args.relation, components[0].dim_a, components[0].dim_b)
-            moments = np.array([joint_moments(c, joint) for c in components])
+            n = FIXED_TWO_L[args.kind] + 1 if spin is None else spin.dim
+            joint = joint_from_catalog(args.relation, n, n)
+            moments = np.array(
+                [_mixed_moments(joint) if c is None else _ket_moments(c, joint) for c in components]
+            )
         row = score(np.tensordot(weights, moments, axes=1), joint)
         closed = closed_form_violation(args.kind, args.relation, params)
         if closed is None:

@@ -266,8 +266,8 @@ def _read_only_projector(amplitudes: np.ndarray) -> np.ndarray:
     return projector
 
 
-# Built once, at import, and read-only: the Bell kets and projectors, the
-# spin-1 singlet projector and the anticorrelated L_x projectors below.
+# Built once, at import: the Bell kets and read-only projectors, the spin-1
+# singlet projector and the anticorrelated L_x kets and projectors below.
 _SQRT2 = np.sqrt(2.0)
 _BELL_KETS = {
     "S": PureState(np.array([0, 1, -1, 0], dtype=complex) / _SQRT2),
@@ -324,13 +324,13 @@ def x_basis_kets() -> list[np.ndarray]:
     return kets
 
 
-def _anticorrelated_x_projectors() -> tuple[np.ndarray, ...]:
+def _anticorrelated_x_kets() -> tuple[np.ndarray, ...]:
     minus, zero, plus = x_basis_kets()
-    pairs = ((minus, plus), (zero, zero), (plus, minus))
-    return tuple(_read_only_projector(np.kron(a, b)) for a, b in pairs)
+    return tuple(np.kron(a, b) for a, b in ((minus, plus), (zero, zero), (plus, minus)))
 
 
-_X_PRODUCT_PROJECTORS = _anticorrelated_x_projectors()
+_X_PRODUCT_KETS = _anticorrelated_x_kets()
+_X_PRODUCT_PROJECTORS = tuple(map(_read_only_projector, _X_PRODUCT_KETS))
 
 
 def x_decoherence_mixture(p_d) -> DensityMatrix:
@@ -347,24 +347,21 @@ def x_decoherence_mixture(p_d) -> DensityMatrix:
     return DensityMatrix(matrix, (3, 3))
 
 
-def family_components(kind: str, spin: SpinQuantum | None = None) -> tuple[DensityMatrix, ...]:
-    """The fixed states that every member of family ``kind`` mixes, each
-    validated at the default tolerance, as every built-in state is: the
-    spin-``spin`` singlet and the maximally mixed N x N state (``white``),
-    the spin-1 singlet and the three anticorrelated L_x product states
-    (``xdecoherence``), and the Bell states S, T1, T2, T3 (``bell``).
+def family_components(kind: str, spin: SpinQuantum | None = None) -> tuple[PureState | None, ...]:
+    """The fixed states that every member of family ``kind`` mixes, as kets
+    norm-checked on every call and None for the maximally mixed state 1/D:
+    the spin-``spin`` singlet and 1/D (``white``), the spin-1 singlet and
+    the three anticorrelated L_x products (``xdecoherence``), and the Bell
+    states S, T1, T2, T3 (``bell``).
 
-    A member is sum_k w_k * components[k] with w = ``family_weights``.
+    A member is sum_k w_k |k><k| (1/D for None) with w = ``family_weights``.
     """
     if kind == "white":
-        n = spin.dim
-        return singlet_state(spin), maximally_mixed((n, n))
+        return singlet_ket(spin), None
     if kind == "xdecoherence":
-        return tuple(
-            DensityMatrix(p, (3, 3)) for p in (_SPIN1_SINGLET_PROJECTOR, *_X_PRODUCT_PROJECTORS)
-        )
+        return singlet_ket(SpinQuantum(2)), *map(PureState, _X_PRODUCT_KETS)
     if kind == "bell":
-        return tuple(bell_states().values())
+        return tuple(PureState(ket.amplitudes) for ket in _BELL_KETS.values())
     raise InvalidParameterError(f"unknown family kind {kind!r}")
 
 

@@ -1,4 +1,4 @@
-"""The `family` sweep mixes the moments of validated components.
+"""The `family` sweep mixes the moments of its components, kets and 1/D.
 
 The reference throughout is the sweep that builds, validates and certifies
 every member with the family constructors.
@@ -75,20 +75,25 @@ def test_family_builds_no_member(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("grid", ["0:1:1", "0:1:0.25", "0:1:0.01"])
-def test_family_validates_each_component_once(tmp_path, capsys, monkeypatch, grid):
-    original = states.DensityMatrix.__post_init__
-    validations = []
+def test_family_checks_each_ket_once_and_builds_no_density_matrix(tmp_path, capsys, monkeypatch, grid):
+    def refuse(self, tolerance):
+        raise AssertionError("a DensityMatrix was built")
 
-    def counting(self, tolerance):
-        validations.append(self)
-        original(self, tolerance)
+    original = states.PureState.__post_init__
+    checks = []
 
-    monkeypatch.setattr(states.DensityMatrix, "__post_init__", counting)
-    for kind, two_l, components in (("white", 11, 2), ("xdecoherence", None, 4), ("bell", None, 4)):
-        del validations[:]
-        code, _, rows = sweep(tmp_path, capsys, kind, two_l, grid, "s3")
-        assert code == 0 and len(rows) == len(cli._parse_grid(grid))
-        assert len(validations) == components
+    def counting(self):
+        checks.append(self)
+        original(self)
+
+    monkeypatch.setattr(states.DensityMatrix, "__post_init__", refuse)
+    monkeypatch.setattr(states.PureState, "__post_init__", counting)
+    # white mixes its singlet ket with 1/D, which has no ket to check
+    for kind, two_l, kets in (("white", 11, 1), ("xdecoherence", None, 4), ("bell", None, 4)):
+        del checks[:]
+        code, err, rows = sweep(tmp_path, capsys, kind, two_l, grid, "s3")
+        assert (code, err, len(rows)) == (0, "", len(cli._parse_grid(grid)))
+        assert len(checks) == kets
 
 
 def test_components_mix_to_the_constructors():
@@ -100,10 +105,16 @@ def test_components_mix_to_the_constructors():
     cases.append(("bell", None, bell))
     for kind, spin, members in cases:
         components = family_components(kind, spin)
+        dim = len(CONSTRUCTORS[kind](*members[0]).matrix)
+        # None stands for the maximally mixed state
+        matrices = [
+            np.eye(dim) / dim if c is None else np.outer(c.amplitudes, c.amplitudes.conj())
+            for c in components
+        ]
         for params in members:
             weights = family_weights(kind, params)
             assert len(weights) == len(components) and min(weights) >= 0
-            mixed = sum(w * c.matrix for w, c in zip(weights, components))
+            mixed = sum(w * m for w, m in zip(weights, matrices))
             built = CONSTRUCTORS[kind](*params).matrix
             assert np.abs(mixed - built).max() <= 1e-15, (kind, params)
 
@@ -142,6 +153,32 @@ def test_family_rows_match_certified_members(tmp_path, capsys):
                 compared += 1
     # l3 and s3 for every family, l2n2/s2n2 at 2x2 and l2n3/s2n3 at 3x3
     assert compared == 21 * (2 * 13 + 2 * 4)
+
+
+@pytest.mark.parametrize("relation", ["l3", "s3"])
+def test_white_sweep_at_the_level_cap_follows_the_closed_form(tmp_path, capsys, relation):
+    # N = 64 levels: a member would be a 4096 x 4096 matrix, which the sweep
+    # never builds
+    two_l = cli.MAX_TWO_L
+    code, err, rows = sweep(tmp_path, capsys, "white", two_l, "0:1:0.05", relation)
+    assert (code, err, len(rows)) == (0, "", 21)
+    for row in rows:
+        p = float(row["parameter"])
+        assert abs(float(row["C"]) - (1 - p * (two_l + 2) / 2)) <= 1e-12, row
+
+
+def test_family_closed_form_error_does_not_grow(tmp_path, capsys):
+    # every row with a closed form over the sweeps of every kind and
+    # relation at step 0.01; member-by-member certificates reached 2.7e-15
+    worst, counted = 0.0, 0
+    for kind, two_l in FAMILIES:
+        for relation in RELATION_KINDS:
+            code, _, rows = sweep(tmp_path, capsys, kind, two_l, "0:1:0.01", relation)
+            if code == 0:
+                counted += len(rows)
+                worst = max([worst] + [float(r["abs_difference"]) for r in rows if r["abs_difference"]])
+    assert counted == 3434
+    assert worst <= 2.7e-15
 
 
 # The lines each refused sweep printed when every member was built.
