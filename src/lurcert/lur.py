@@ -255,7 +255,7 @@ def _local_moments(rho_a, rho_b, cross, joint: JointOperatorSet) -> tuple[np.nda
 
 
 class Score(NamedTuple):
-    """The certificate arithmetic on a pair of moment rows."""
+    """The certificate arithmetic on the moments of one state."""
 
     per_component: tuple[float, ...]
     total: float
@@ -265,13 +265,23 @@ class Score(NamedTuple):
 
 def score(moments, joint: JointOperatorSet) -> Score:
     """Clipped variances <J_i^2> - <J_i>^2, their total, C and the verdict,
-    from the pair (<J_i>, <J_i^2>) that ``joint_moments`` returns or any
-    array of two such rows."""
-    mean, second = moments
+    from the pair (<J_i>, <J_i^2>) that ``joint_moments`` returns or from
+    the flat row of the <J_i> followed by the <J_i^2>, as a family sweep
+    mixes them.
+
+    The arithmetic runs on Python floats, which round each product and
+    difference as numpy's elementwise operations do."""
+    scales = joint.guard_scales
+    if isinstance(moments, np.ndarray):
+        values = moments.tolist()
+        # the <J_i> lead the row, and zip stops after the last component
+        means, seconds = values, values[len(scales):]
+    else:
+        means, seconds = (row.tolist() for row in moments)
     # only a negative variance needs the clip and its scale
     per_component = tuple(
-        v if v >= 0 else clip_variance(v, s)
-        for v, s in zip((second - mean * mean).tolist(), joint.guard_scales)
+        v if (v := b - a * a) >= 0 else clip_variance(v, s)
+        for a, b, s in zip(means, seconds, scales)
     )
     total = sum(per_component)
     limit = joint.local_limit

@@ -494,8 +494,10 @@ def matrix_from_rows(rows, size: int, what: str, error: type[Exception]) -> np.n
     return matrix
 
 
-def write_utf8(path, text: str) -> None:
-    """Write ``text`` as UTF-8 to ``path``, the one writer of every output file.
+def write_utf8(path, text: str | list[str]) -> None:
+    """Write ``text``, a str or a list of strs written one after another,
+    as UTF-8 to ``path``: the one writer of every output file.  A long
+    output written from its lines needs no joined copy of them.
 
     The file is opened without truncation, written, and then cut to the
     new length when it is a regular file; devices and FIFOs such as
@@ -508,7 +510,7 @@ def write_utf8(path, text: str) -> None:
     files").
     """
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines([text] if isinstance(text, str) else text)
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             fh.truncate()
 

@@ -228,6 +228,46 @@ def test_family_grid_point_cap(tmp_path, capsys):
     assert len(cli._parse_grid(f"0:{cli.MAX_GRID_POINTS - 1}:1")) == cli.MAX_GRID_POINTS
 
 
+def test_a_step_below_the_snap_window_repeats_no_parameter(tmp_path, capsys):
+    # 1e-13 is a tenth of the 1e-12 window within which the last point is
+    # snapped onto stop; only that point may move
+    grid = cli._parse_grid("0:5e-11:1e-13")
+    assert len(grid) == len(set(grid)) == 501
+    assert grid == sorted(grid)
+    assert grid[-1] == 5e-11
+    out = tmp_path / "tiny.csv"
+    argv = ["family", "--kind", "white", "--two-l", "1", "--grid", "0:5e-11:1e-13"]
+    assert run(*argv, "--relation", "l3", "--out", str(out)) == 0
+    params = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+    assert len(params) == len(set(params)) == 501
+    assert params[-1] == "5.0000000000000002e-11"
+
+
+def _python_m_lurcert(*argv):
+    src = str(Path(lurcert.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "LURCERT_VALIDATION_TOL"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "lurcert", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_python_m_lurcert_prints_the_version():
+    proc = _python_m_lurcert("--version")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"lurcert {lurcert.__version__}\n", "")
+
+
+def test_python_m_lurcert_certifies_like_main(tmp_path, capsys):
+    state = tmp_path / "singlet.json"
+    write_state(singlet_state(SpinQuantum(2)), state)
+    argv = ["certify", "--state", str(state), "--relation", "l3"]
+    code = cli.main(argv)
+    expected = (code, *capsys.readouterr())
+    proc = _python_m_lurcert(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+    assert code == 3
+
+
 def test_certify_json_digest_is_hashed_once(tmp_path, monkeypatch):
     state = tmp_path / "white.json"
     cert_path = tmp_path / "cert.json"

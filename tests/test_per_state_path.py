@@ -4,7 +4,8 @@ The reference functions below spell out the per-state arithmetic in its
 plainest form: explicit outer products of the Bell and singlet kets,
 function-form partial traces, separate products with the rows of the A_i,
 the A_i^2, the B_i and the B_i^2, and one imaginary-part guard per moment
-row.  Every stored matrix, moment, certificate field and digest must equal
+row.  ``reference_score`` is the certificate arithmetic on numpy arrays.
+Every stored matrix, moment, certificate field and digest must equal
 theirs to the bit, for catalog joints and for random bound-file-like
 joints of one, two and four components.
 """
@@ -14,7 +15,14 @@ import pytest
 
 from lurcert import states
 from lurcert.linalg import DimensionMismatchError, InvalidParameterError
-from lurcert.lur import build_joint, certify, joint_from_catalog, joint_moments, score
+from lurcert.lur import (
+    VERDICT_MARGIN,
+    build_joint,
+    certify,
+    joint_from_catalog,
+    joint_moments,
+    score,
+)
 from lurcert.spin_ops import OperatorSet, SpinQuantum
 from lurcert.states import (
     DensityMatrix,
@@ -29,7 +37,7 @@ from lurcert.states import (
     x_basis_kets,
     x_decoherence_mixture,
 )
-from lurcert.uncertainty import real_part
+from lurcert.uncertainty import clip_variance, real_part
 
 from oracles import random_mixed_state, random_product_state, random_pure_state
 
@@ -87,6 +95,19 @@ def reference_moments(matrix, joint):
     return mean, second
 
 
+def reference_score(moments, joint):
+    """Clipped variances, total, C and verdict from the numpy rows
+    (<J_i>, <J_i^2>), with array products and differences."""
+    mean, second = moments
+    per_component = tuple(
+        v if v >= 0 else clip_variance(v, s)
+        for v, s in zip((second - mean * mean).tolist(), joint.guard_scales)
+    )
+    total = sum(per_component)
+    limit = joint.local_limit
+    return per_component, total, 1.0 - total / limit, total < limit - VERDICT_MARGIN
+
+
 def _random_joint(dims, count, rng):
     """A joint of ``count`` random Hermitian components per side, the kind
     a bound file brings."""
@@ -111,6 +132,9 @@ def assert_bit_identical(rho, reference_matrix, joints):
         assert [row.tobytes() for row in got] == [row.tobytes() for row in want]
         cert = certify(rho, joint)
         ref = score(want, joint)
+        # float arithmetic, on the pair and on the flat row, equals the arrays'
+        assert ref == reference_score(want, joint)
+        assert score(np.concatenate(want), joint) == ref
         assert cert.per_component == ref.per_component
         assert cert.total == ref.total
         assert cert.relative_violation == ref.relative_violation
