@@ -9,7 +9,7 @@ independent cross-check.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +62,12 @@ class SearchConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        # a bool is an int to Python, and other types fail later in range or
+        # SeedSequence with bare errors
+        for name in ("restarts", "rng_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
         if self.restarts < 1:
             raise InvalidParameterError("restarts must be a positive integer")
         if self.restarts > MAX_RESTARTS:
@@ -140,87 +146,71 @@ def _minimize_block(stack: np.ndarray, x: np.ndarray, history=None):
     of real coordinates.
 
     Each column follows the single-start rules on its own: a Barzilai-Borwein
-    trial step capped at ``INITIAL_STEP``, Armijo backtracking until the
-    demanded decrease rounds away or the step falls below ``MIN_STEP``, the
-    gradient-tolerance stop, the stall window and ``MAX_ITERATIONS``.  Each
-    iteration evaluates the first trials of all columns in one batch and
-    backtracks only the columns that fail the Armijo test; a column that
-    stops keeps its last point and leaves the block.  ``history``, if
-    given, receives the (R,) array of current values once at the start and
-    after every iteration.  Returns (minima, final block, stop reason per
-    column).
+    trial step capped at ``INITIAL_STEP``, Armijo backtracking by halving
+    until the demanded decrease rounds away or the step falls below
+    ``MIN_STEP``, the gradient and step stops before an iteration's first
+    trial, and the stall window and ``MAX_ITERATIONS`` counted on the
+    column's own completed iterations.  The descent runs in passes, and each
+    pass evaluates every column's current trial (the first of an iteration
+    or its next halving) in one batch of the block's full width.  A column
+    that stops stays in the block, and masked updates leave its point, value
+    and trial unchanged.  ``history``, if given, receives the (R,) array of
+    current values once at the start and after every pass.  Returns (minima,
+    final block, stop reason per column).
     """
+    x = x.copy()
     f, grad = _evaluate(stack, x)
-    minima = f.copy()
-    final = x.copy()
-    reasons = np.full(f.size, _MAX_ITERATIONS)
-    cols = np.arange(f.size)
     grad_sq = np.einsum("dr,dr->r", grad, grad)
+    reason = np.full(f.size, _ACTIVE)
+    active = np.ones(f.size, dtype=bool)
+    iterations = np.zeros(f.size, dtype=np.int64)
+    anchor = f.copy()
+    # each column's trial step, and whether that trial is its iteration's first
     step = np.full(f.size, INITIAL_STEP)
-    anchor = f
+    first = active.copy()
     if history is not None:
-        history.append(minima.copy())
-    for iteration in range(1, MAX_ITERATIONS + 1):
-        reason = np.full(cols.size, _ACTIVE)
-        # the stops before a trial, tested on the extreme columns first
-        if math.sqrt(grad_sq.min()) < GRADIENT_TOLERANCE or step.min() < MIN_STEP:
-            reason[np.sqrt(grad_sq) < GRADIENT_TOLERANCE] = _GRADIENT
-            # no descent left at floating-point resolution
-            reason[(reason == _ACTIVE) & (step < MIN_STEP)] = _LINE_SEARCH
-        # Every column takes its first trial in one batch; a column that
-        # stopped gets its point back below.
-        new_x = x - step * grad
-        new_x /= np.sqrt(np.einsum("dr,dr->r", new_x, new_x))
-        new_f, new_grad = _evaluate(stack, new_x)
+        history.append(f.copy())
+    # a column completes at most one iteration per pass
+    for passes in itertools.count(1):
         target = f - ARMIJO * step * grad_sq
-        retry = np.flatnonzero(~(new_f <= target) & (reason == _ACTIVE))
-        trial_step = step[retry]
-        while retry.size:
-            trial_step = trial_step * STEP_SHRINK
-            # the next Armijo target rounds to f, so no decrease it asks for shows
-            target = f[retry] - ARMIJO * trial_step * grad_sq[retry]
-            exhausted = (trial_step < MIN_STEP) | (target == f[retry])
-            if exhausted.any():
-                reason[retry[exhausted]] = _LINE_SEARCH
-                going = ~exhausted
-                retry, trial_step, target = retry[going], trial_step[going], target[going]
-                if not retry.size:
-                    break
-            trial = x[:, retry] - trial_step * grad[:, retry]
-            trial /= np.sqrt(np.einsum("dr,dr->r", trial, trial))
-            f_trial, grad_trial = _evaluate(stack, trial)
-            new_x[:, retry], new_f[retry], new_grad[:, retry] = trial, f_trial, grad_trial
-            going = ~(f_trial <= target)
-            retry, trial_step, target = retry[going], trial_step[going], target[going]
-        held = np.flatnonzero(reason != _ACTIVE)
-        if held.size:
-            new_x[:, held], new_f[held], new_grad[:, held] = x[:, held], f[held], grad[:, held]
-        move = new_x - x
-        curvature = np.einsum("dr,dr->r", move, new_grad - grad)
-        step = np.full(cols.size, INITIAL_STEP)
-        np.divide(np.einsum("dr,dr->r", move, move), curvature, out=step, where=curvature > 0)
-        np.minimum(step, INITIAL_STEP, out=step)
-        x, f, grad = new_x, new_f, new_grad
-        grad_sq = np.einsum("dr,dr->r", grad, grad)
+        # The stops before an iteration's first trial, and the end of a
+        # line search: its step fell below MIN_STEP, or the Armijo target of
+        # a halved trial rounds to f, so no decrease it asks for shows.
+        gradient = first & (np.sqrt(grad_sq) < GRADIENT_TOLERANCE)
+        exhausted = (step < MIN_STEP) | ((target == f) & ~first)
+        reason[active & exhausted] = _LINE_SEARCH
+        reason[gradient] = _GRADIENT
+        active = reason == _ACTIVE
+        if not active.any():
+            break
+        trial = x - step * grad
+        trial /= np.sqrt(np.einsum("dr,dr->r", trial, trial))
+        new_f, new_grad = _evaluate(stack, trial)
+        first = active & (new_f <= target)
+        np.multiply(step, STEP_SHRINK, out=step, where=active ^ first)
+        if first.any():
+            # the columns that passed take their move and their next
+            # spectral step, and complete an iteration
+            move = trial - x
+            curvature = np.einsum("dr,dr->r", move, new_grad - grad)
+            spectral = np.full(f.size, INITIAL_STEP)
+            np.divide(np.einsum("dr,dr->r", move, move), curvature, out=spectral, where=curvature > 0)
+            np.minimum(spectral, INITIAL_STEP, out=spectral)
+            for old, new in ((step, spectral), (x, trial), (f, new_f), (grad, new_grad)):
+                np.copyto(old, new, where=first)
+            grad_sq = np.einsum("dr,dr->r", grad, grad)
+            iterations += first
+            if passes >= STALL_WINDOW:
+                window = first & (iterations % STALL_WINDOW == 0)
+                reason[window & (anchor - f < STALL_DECREASE)] = _STALL
+                np.copyto(anchor, f, where=window)
+            if passes >= MAX_ITERATIONS:
+                reason[first & (reason == _ACTIVE) & (iterations == MAX_ITERATIONS)] = _MAX_ITERATIONS
+            active = reason == _ACTIVE
+            first &= active
         if history is not None:
-            minima[cols] = f
-            history.append(minima.copy())
-        if iteration % STALL_WINDOW == 0:
-            reason[(reason == _ACTIVE) & (anchor - f < STALL_DECREASE)] = _STALL
-            anchor = f
-            held = np.flatnonzero(reason != _ACTIVE)
-        if held.size:
-            minima[cols[held]] = f[held]
-            final[:, cols[held]] = x[:, held]
-            reasons[cols[held]] = reason[held]
-            keep = reason == _ACTIVE
-            cols, x, f, grad = cols[keep], x[:, keep], f[keep], grad[:, keep]
-            grad_sq, step, anchor = grad_sq[keep], step[keep], anchor[keep]
-            if not cols.size:
-                break
-    minima[cols] = f
-    final[:, cols] = x
-    return minima, final, [STOP_REASONS[r] for r in reasons]
+            history.append(f.copy())
+    return f, x, [STOP_REASONS[r] for r in reason]
 
 
 def minimize_sum_uncertainty(

@@ -437,6 +437,26 @@ def test_wellformed_bound_file_certifies(tmp_path, capsys):
     assert "bounds analytic, analytic" in capsys.readouterr().out
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
+def test_a_file_bound_above_the_minimum_is_refused(tmp_path, capsys):
+    # spin-1/2 L_x, L_y, L_z sum to 1/2 at least; a file that claims 3/4 as
+    # "analytic" is taken on trust, and |up up> (total 1 < 3/2) is called
+    # entangled with C = 1/3
+    bound_path = tmp_path / "bound.json"
+    assert run("search-bound", "--set", "spin:xyz", "--two-l", "1", "--emit-bound", str(bound_path)) == 0
+    doc = json.loads(bound_path.read_text())
+    doc.update(bound=0.75, provenance="analytic")
+    bound_path.write_text(json.dumps(doc))
+    up = np.array([1.0, 0.0, 0.0, 0.0])
+    state = tmp_path / "upup.json"
+    write_state(DensityMatrix(np.outer(up, up).astype(complex), (2, 2)), state)
+    capsys.readouterr()
+    code = run("certify", "--state", str(state), "--relation", str(bound_path))
+    out = capsys.readouterr().out
+    assert abs(float(out.split("relative violation C:")[1].split()[0]) - 1 / 3) < 1e-12
+    assert code != 3 and "ENTANGLED" not in out
+
+
 def scaled_spin1_xy_bound_file(path, scale):
     """A bound file of spin-1 L_x, L_y times ``scale``, at 7/16 scale^2."""
     ops = [scale * a for a in lurcert.spin_subset(SpinQuantum(2), "xy")]
