@@ -37,7 +37,7 @@ from .lur import (
     _ket_moments,
     _mixed_moments,
 )
-from .bound_search import SearchConfig, minimize_sum_uncertainty
+from .bound_search import SearchConfig, interval_minimum, minimize_sum_uncertainty
 from .spin_ops import OperatorSet, SpinQuantum, spin_subset, stokes_subset
 from .states import (
     DensityMatrix,
@@ -55,7 +55,13 @@ from .states import (
     write_utf8,
     x_decoherence_mixture,
 )
-from .uncertainty import CATALOG_KINDS, NUMERICALLY_CERTIFIED, UncertaintyRelation, catalog_bound
+from .uncertainty import (
+    CATALOG_KINDS,
+    INTERVAL,
+    NUMERICALLY_CERTIFIED,
+    UncertaintyRelation,
+    catalog_bound,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -128,7 +134,7 @@ def _operators_from_doc(doc: dict, what: str) -> tuple[np.ndarray, ...]:
 
 def _load_relation_side(doc, what: str) -> UncertaintyRelation:
     """Schema-checked bound-file side; keys other than the five read here
-    (such as the ``search`` record) are ignored."""
+    (such as the ``search`` or ``interval`` record) are ignored."""
     if not isinstance(doc, dict):
         raise InvalidParameterError(f"{what} must be a JSON object")
     for key in ("label", "bound", "provenance", "operators"):
@@ -265,15 +271,18 @@ def cmd_family(args) -> int:
     return EXIT_OK
 
 
-def _parse_operator_spec(spec: str, two_l: int | None) -> OperatorSet:
+def _parse_operator_spec(spec: str, two_l: int | None) -> tuple[OperatorSet, float | None]:
+    """The operator set of ``--set``, and for a built-in set the largest
+    eigenvalue of its members: l for spin, n = 2l for Stokes."""
     if spec.startswith("spin:"):
         if two_l is None:
             raise InvalidParameterError("builtin spin sets need --two-l")
-        return spin_subset(SpinQuantum(two_l), spec[len("spin:"):])
+        spin = SpinQuantum(two_l)
+        return spin_subset(spin, spec[len("spin:"):]), spin.l
     if spec.startswith("stokes:"):
         if two_l is None:
             raise InvalidParameterError("builtin stokes sets need --two-l (photon number n = 2l)")
-        return stokes_subset(two_l, spec[len("stokes:"):])
+        return stokes_subset(two_l, spec[len("stokes:"):]), 2 * SpinQuantum(two_l).l
     path = Path(spec)
     if not path.is_file():
         raise InvalidParameterError(
@@ -284,24 +293,50 @@ def _parse_operator_spec(spec: str, two_l: int | None) -> OperatorSet:
         raise InvalidParameterError('operator file must be an object with an "operators" key')
     return OperatorSet(
         label=str(doc.get("label", path.name)), operators=_operators_from_doc(doc, "operator file")
-    )
+    ), None
 
 
 def cmd_search_bound(args) -> int:
-    op_set = _parse_operator_spec(args.set, args.two_l)
+    op_set, reach = _parse_operator_spec(args.set, args.two_l)
+    # built first, so a bad --restarts or --seed is refused on every set
     config = SearchConfig(restarts=args.restarts, rng_seed=args.seed)
-    result = minimize_sum_uncertainty(op_set, config)
+    if reach is None:
+        result = minimize_sum_uncertainty(op_set, config)
+    else:
+        result = interval_minimum(op_set, reach)
     print(f"set:      {op_set.label} (dimension {op_set.dim}, {len(op_set)} operators)")
     print(f"minimum:  {_fmt(result.minimum)}")
-    print(
-        f"restarts: {config.restarts}  agreeing: {result.restarts_agreeing}"
-        f"  converged: {result.converged_count}"
-    )
-    stops = result.stop_counts
-    print(f"stops: {' '.join(f'{reason}={count}' for reason, count in stops.items())}")
-    print(f"confidence: {'LOW (few restarts agree)' if result.low_confidence else 'ok'}")
-    if not result.any_converged:
-        print("warning: no restart converged; minimum is the best value found")
+    if reach is None:
+        print(
+            f"restarts: {config.restarts}  agreeing: {result.restarts_agreeing}"
+            f"  converged: {result.converged_count}"
+        )
+        stops = result.stop_counts
+        print(f"stops: {' '.join(f'{reason}={count}' for reason, count in stops.items())}")
+        print(f"confidence: {'LOW (few restarts agree)' if result.low_confidence else 'ok'}")
+        if not result.any_converged:
+            print("warning: no restart converged; minimum is the best value found")
+        # a variance sum is never negative, so 0 bounds a minimum that
+        # rounding left below it
+        bound, provenance = max(0.0, result.minimum), NUMERICALLY_CERTIFIED
+        record = {
+            "search": {
+                "seed": config.rng_seed,
+                "restarts": config.restarts,
+                "agreeing": result.restarts_agreeing,
+                "converged": result.converged_count,
+                "low_confidence": result.low_confidence,
+                "stops": stops,
+            },
+        }
+    else:
+        print(
+            f"interval: [{_fmt(result.lower)}, {_fmt(result.upper)}]"
+            f"  gap: {_fmt(result.gap)}  boxes: {result.boxes}"
+        )
+        print("method: interval (deterministic; --restarts and --seed apply to operator files)")
+        bound, provenance = result.lower, INTERVAL
+        record = {"interval": [result.lower, result.upper], "gap": result.gap, "boxes": result.boxes}
     if result.minimum < 1e-8:
         print("note: minimum is ~0, a common eigenstate exists; no usable uncertainty limit")
     if args.emit_state:
@@ -311,20 +346,11 @@ def cmd_search_bound(args) -> int:
         doc = {
             "label": op_set.label,
             "dim": op_set.dim,
-            # a variance sum is never negative, so 0 bounds a minimum that
-            # rounding left below it
-            "bound": max(0.0, result.minimum),
-            "provenance": NUMERICALLY_CERTIFIED,
+            "bound": bound,
+            "provenance": provenance,
             "operators": [_matrix_to_rows(op) for op in op_set],
             "lurcert_version": __version__,
-            "search": {
-                "seed": config.rng_seed,
-                "restarts": config.restarts,
-                "agreeing": result.restarts_agreeing,
-                "converged": result.converged_count,
-                "low_confidence": result.low_confidence,
-                "stops": stops,
-            },
+            **record,
         }
         write_utf8(args.emit_bound, json.dumps(doc) + "\n")
         print(f"wrote bound file to {args.emit_bound}")
@@ -392,7 +418,7 @@ def build_parser() -> _Parser:
     p.add_argument("--two-l", type=int, dest="two_l", help="level number as 2l (white family)")
     p.set_defaults(func=cmd_family)
 
-    p = sub.add_parser("search-bound", help="numerically certify an uncertainty limit")
+    p = sub.add_parser("search-bound", help="bound an uncertainty limit: proven for built-in sets")
     p.add_argument("--set", required=True, help="spin:<xyz> | stokes:<123> | operator JSON file")
     p.add_argument("--two-l", type=int, dest="two_l", help="2l for spin sets, n for stokes sets")
     p.add_argument("--restarts", type=int, default=64)

@@ -34,6 +34,9 @@ _VARIANCE_FLOOR = -1e-12
 
 ANALYTIC = "analytic"
 NUMERICALLY_CERTIFIED = "numerically-certified"
+# the proven lower end of an interval search (bound_search.interval_minimum)
+INTERVAL = "interval"
+PROVENANCES = (ANALYTIC, NUMERICALLY_CERTIFIED, INTERVAL)
 
 
 def real_part(traces, scale=1.0):
@@ -95,7 +98,7 @@ class UncertaintyRelation:
     provenance: str
 
     def __post_init__(self):
-        if self.provenance not in (ANALYTIC, NUMERICALLY_CERTIFIED):
+        if self.provenance not in PROVENANCES:
             raise InvalidParameterError(f"unknown provenance {self.provenance!r}")
         if self.bound < 0:
             raise InvalidParameterError(f"bound must be nonnegative, got {self.bound}")

@@ -1,3 +1,5 @@
+import json
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -5,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lurcert import bound_search
+from lurcert import bound_search, cli
 from lurcert.bound_search import (
     ARMIJO,
+    INTERVAL_TOLERANCE,
     MAX_RESTARTS,
     RESTART_BLOCK,
     STOP_REASONS,
@@ -17,12 +20,13 @@ from lurcert.bound_search import (
     _operator_stack,
     brute_force_minimum,
     certify_bound,
+    interval_minimum,
     minimize_sum_uncertainty,
 )
 from lurcert.linalg import DimensionMismatchError, InvalidParameterError
 from lurcert.lur import build_joint, certify
 from lurcert.spin_ops import OperatorSet, SpinQuantum, spin_components, spin_subset, stokes_subset
-from lurcert.states import min_uncertainty_state_n3, validate
+from lurcert.states import min_uncertainty_state_n3, read_state, validate
 from lurcert.uncertainty import catalog_bound, sum_uncertainty
 
 FAST = SearchConfig(restarts=16)
@@ -358,3 +362,186 @@ def test_search_output_properties(dim, count, set_seed, restarts, seed):
     assert again.restart_minima == res.restart_minima
     assert again.restart_stops == res.restart_stops
     assert np.array_equal(again.argmin.amplitudes, res.argmin.amplitudes)
+
+
+# --- the interval method of the built-in spin and Stokes sets ---------------
+
+
+def builtin_set(family, axes, two_l):
+    """A built-in set and its reach c l (c = 1 spin, 2 Stokes), as
+    ``search-bound`` builds them."""
+    if family == "spin":
+        return spin_subset(SpinQuantum(two_l), axes), SpinQuantum(two_l).l
+    return stokes_subset(two_l, axes), 2 * SpinQuantum(two_l).l
+
+
+def tolerance(res):
+    return INTERVAL_TOLERANCE * max(1.0, res.upper)
+
+
+ANALYTIC_LIMITS = (
+    [("spin", "xy", 1, 0.25), ("spin", "xy", 2, 0.4375), ("stokes", "12", 1, 1.0), ("stokes", "12", 2, 1.75)]
+    + [("spin", "xyz", two_l, two_l / 2) for two_l in range(1, 13)]
+    + [("stokes", "123", n, 2.0 * n) for n in range(1, 13)]
+)
+
+
+@pytest.mark.parametrize("family, axes, two_l, exact", ANALYTIC_LIMITS)
+def test_interval_contains_the_analytic_limit(family, axes, two_l, exact):
+    res = interval_minimum(*builtin_set(family, axes, two_l))
+    assert 0 < res.lower <= exact <= res.upper
+    assert res.gap <= tolerance(res)
+
+
+@pytest.mark.parametrize("family, axes", [("spin", "xy"), ("stokes", "12"), ("spin", "xyz"), ("stokes", "123")])
+def test_interval_gap_is_within_the_tolerance(family, axes):
+    for two_l in range(1, 13):
+        res = interval_minimum(*builtin_set(family, axes, two_l))
+        assert 0 < res.lower <= res.upper, two_l
+        assert res.gap <= tolerance(res), (two_l, res.gap)
+
+
+@pytest.mark.parametrize("family, axes", [("spin", "xy"), ("stokes", "12"), ("spin", "xyz"), ("stokes", "31")])
+def test_no_descent_minimum_is_below_the_lower_end(family, axes):
+    # the same matrices as an operator file hold them take the descent
+    for two_l in range(1, 9):
+        op_set, reach = builtin_set(family, axes, two_l)
+        res = interval_minimum(op_set, reach)
+        twin = OperatorSet("operator file", tuple(np.array(a) for a in op_set))
+        descent = minimize_sum_uncertainty(twin, SearchConfig(restarts=64))
+        assert min(descent.restart_minima) >= res.lower, two_l
+        assert abs(descent.minimum - res.upper) <= tolerance(res), two_l
+
+
+@pytest.mark.parametrize("family, axes, two_l", [
+    ("spin", "xy", 2), ("spin", "xy", 5), ("spin", "yx", 3), ("spin", "xyz", 6),
+    ("stokes", "12", 2), ("stokes", "23", 4), ("spin", "x", 3),
+])
+def test_emitted_argmin_attains_the_printed_minimum(family, axes, two_l, tmp_path, capsys):
+    state_path = tmp_path / "argmin.json"
+    assert cli.main(["search-bound", "--set", f"{family}:{axes}", "--two-l", str(two_l),
+                     "--emit-state", str(state_path)]) == 0
+    out = capsys.readouterr().out
+    minimum = float(next(l for l in out.splitlines() if l.startswith("minimum:")).split()[1])
+    interval = next(l for l in out.splitlines() if l.startswith("interval:"))
+    lower, upper = (float(v) for v in interval[len("interval: ["):interval.index("]")].split(", "))
+    # the upper end adds the bound on the rounding of the minimum's evaluation
+    assert lower <= minimum <= upper <= minimum + 1e-10 * max(1.0, minimum)
+    achieved = sum_uncertainty(read_state(state_path), builtin_set(family, axes, two_l)[0])
+    assert abs(achieved - minimum) <= 1e-12 * max(1.0, minimum)
+
+
+@pytest.mark.parametrize("family, pairs", [("spin", ("xz", "yz", "yx", "zy")), ("stokes", ("13", "23", "21"))])
+def test_every_pair_of_axes_gives_the_interval_of_the_first(family, pairs):
+    first = "xy" if family == "spin" else "12"
+    for two_l in range(1, 7):
+        base = interval_minimum(*builtin_set(family, first, two_l))
+        for axes in pairs:
+            res = interval_minimum(*builtin_set(family, axes, two_l))
+            assert abs(res.lower - base.lower) <= tolerance(base), (axes, two_l)
+            assert abs(res.upper - base.upper) <= tolerance(base), (axes, two_l)
+            assert max(res.lower, base.lower) <= min(res.upper, base.upper)
+
+
+@pytest.mark.parametrize("spec", ["spin:x", "spin:y", "spin:z", "stokes:1", "stokes:2"])
+def test_a_single_axis_gives_zero(spec, capsys):
+    for two_l in range(0, 5):
+        family, axes = spec.split(":")
+        res = interval_minimum(*builtin_set(family, axes, two_l))
+        assert res.lower == 0.0 and abs(res.minimum) <= res.upper < 1e-10
+        assert cli.main(["search-bound", "--set", spec, "--two-l", str(two_l)]) == 0
+        out = capsys.readouterr().out
+        assert "interval: [0, " in out
+        assert "note: minimum is ~0, a common eigenstate exists; no usable uncertainty limit" in out
+
+
+@pytest.mark.parametrize("reach", [-0.5, 0.3, float("inf"), float("nan")])
+def test_a_reach_off_the_half_integers_is_refused(reach):
+    # box ends must stay exact binary fractions of c l
+    with pytest.raises(InvalidParameterError, match="reach must be a nonnegative multiple of 1/2"):
+        interval_minimum(spin_subset(SpinQuantum(2), "xy"), reach)
+
+
+def test_a_failed_cholesky_proves_nothing(monkeypatch, tmp_path, capsys):
+    op_set, reach = builtin_set("spin", "xy", 2)
+    proved = interval_minimum(op_set, reach)
+    calls = []
+
+    def failing(a):
+        calls.append(np.shape(a))
+        raise np.linalg.LinAlgError("patched to fail")
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    res = interval_minimum(op_set, reach)
+    # every box was tried, and retried, and none is taken on trust
+    assert len(calls) > bound_search.CHOLESKY_RETRIES
+    assert res.lower == 0.0 and res.upper == proved.upper
+    bound_path = tmp_path / "bound.json"
+    assert cli.main(["search-bound", "--set", "spin:xy", "--two-l", "2",
+                     "--emit-bound", str(bound_path)]) == 0
+    assert "interval: [0, " in capsys.readouterr().out
+    assert json.loads(bound_path.read_text())["bound"] == 0.0
+
+
+def test_a_widened_shift_still_proves_a_lower_end(monkeypatch):
+    # the first factorization of every box fails, so each proof takes the
+    # once-widened shift, and the lower end moves down but stays proved
+    op_set, reach = builtin_set("stokes", "12", 2)
+    proved = interval_minimum(op_set, reach)
+    factorizes = bound_search._factorizes
+    attempts = []
+
+    def first_fails(stack):
+        attempts.append(len(stack))
+        ok = factorizes(stack)
+        return ok & (len(attempts) > 1)
+
+    monkeypatch.setattr(bound_search, "_factorizes", first_fails)
+    res = interval_minimum(op_set, reach)
+    assert len(attempts) == 2 and attempts[0] == attempts[1]
+    assert 0 < res.lower < proved.lower <= 1.75 <= res.upper == proved.upper
+
+
+def exactly_above(axes, scale, two_l, t, floor):
+    """Whether lambda_min(Q - 2tA) >= floor - t^2 holds for the exact
+    spin-l L_x, L_y (and L_z for ``axes="xyz"``) times ``scale``, A = the
+    first.  Q is diagonal and A tridiagonal, with off-diagonal squares
+    t^2 scale^2 (l(l+1) - m(m+1)) in rationals, so the LDL^T pivots decide
+    it exactly."""
+    l = Fraction(two_l, 2)
+    shift = Fraction(floor) - t * t
+    pivot = None
+    for k in range(two_l + 1):
+        m = l - k
+        entry = scale**2 * (l * (l + 1) - (0 if axes == "xyz" else m * m)) - shift
+        if k:
+            entry -= scale**2 * t * t * (l * (l + 1) - m * (m + 1)) / pivot
+        if entry < 0:
+            return False
+        pivot = entry if entry else Fraction(1, 10**30)
+    return True
+
+
+@pytest.mark.parametrize("family, axes", [("spin", "xy"), ("stokes", "12"), ("spin", "xyz"), ("stokes", "123")])
+def test_final_boxes_cover_the_range_and_hold_exactly(family, axes):
+    # every final box bound is checked against the exact spin matrices in
+    # rational arithmetic, and the final boxes tile [0, c l]
+    scale = 1 if family == "spin" else 2
+    for two_l in range(1, 9):
+        op_set, reach = builtin_set(family, axes, two_l)
+        calls = []
+
+        def recording(red, t, r, estimate, prove=bound_search._proved_floors):
+            calls.append((t, r, prove(red, t, r, estimate)))
+            return calls[-1][2]
+
+        with mock.patch.object(bound_search, "_proved_floors", recording):
+            res = interval_minimum(op_set, reach)
+        [(t, r, floors)] = calls
+        assert res.lower == max(0.0, floors.min())
+        boxes = sorted((Fraction(c) - Fraction(w), Fraction(c) + Fraction(w)) for c, w in zip(t, r))
+        assert boxes[0][0] == 0 and boxes[-1][1] == Fraction(reach)
+        assert all(a[1] == b[0] for a, b in zip(boxes, boxes[1:]))
+        for c, w, floor in zip(t, r, floors):
+            c, w = Fraction(c), Fraction(w)
+            assert exactly_above("xyz" if len(axes) == 3 else "xy", scale, two_l, c, Fraction(floor) + w * w)

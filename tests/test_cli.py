@@ -286,8 +286,17 @@ def reported_minimum(out):
     return float(line.split()[1])
 
 
+# an operator file with the bits of the built-in spin-1 L_x, L_y, so that
+# search-bound runs the descent on the set whose interval spin:xy proves
+SPIN1_XY_FILE = str(Path(__file__).parent / "data" / "spin1_xy_operators.json")
+
+
 def test_search_bound_builtin_sets(capsys):
     assert run("search-bound", "--set", "spin:xy", "--two-l", "2", "--restarts", "16") == 0
+    out = capsys.readouterr().out
+    assert abs(reported_minimum(out) - 0.4375) < 1e-6
+    assert "method: interval (deterministic; --restarts and --seed apply to operator files)" in out
+    assert run("search-bound", "--set", SPIN1_XY_FILE, "--restarts", "16") == 0
     out = capsys.readouterr().out
     assert abs(reported_minimum(out) - 0.4375) < 1e-6
     assert "confidence: ok" in out
@@ -297,18 +306,20 @@ def test_search_bound_builtin_sets(capsys):
     assert "common eigenstate exists" in capsys.readouterr().out
 
 
-def test_search_bound_emits_state_and_bound(tmp_path, capsys):
+def emitted_bound_certifies(operator_set, provenance, tmp_path, capsys):
+    """Run search-bound on ``operator_set`` (the spin-1 L_x, L_y) with both
+    outputs, and certify the 3x3 singlet against the emitted bound file."""
     state_path = tmp_path / "argmin.json"
     bound_path = tmp_path / "bound.json"
     assert run(
-        "search-bound", "--set", "spin:xy", "--two-l", "2", "--restarts", "16",
+        "search-bound", *operator_set, "--restarts", "16",
         "--emit-state", str(state_path), "--emit-bound", str(bound_path),
     ) == 0
     capsys.readouterr()
     argmin = read_state(state_path)  # round-trips through validation
     assert argmin.dims == (3,)
     doc = json.loads(bound_path.read_text())
-    assert doc["provenance"] == "numerically-certified"
+    assert doc["provenance"] == provenance
     assert abs(doc["bound"] - 0.4375) < 1e-6
 
     # the emitted bound file drives certify on a 3x3 pair
@@ -317,7 +328,15 @@ def test_search_bound_emits_state_and_bound(tmp_path, capsys):
     code = run("certify", "--state", str(singlet_path), "--relation", str(bound_path))
     out = capsys.readouterr().out
     assert code == 3
-    assert "numerically-certified" in out
+    assert f"(bounds {provenance}, {provenance})" in out
+
+
+def test_search_bound_emits_state_and_bound(tmp_path, capsys):
+    emitted_bound_certifies(("--set", "spin:xy", "--two-l", "2"), "interval", tmp_path, capsys)
+
+
+def test_search_bound_emits_a_descent_bound_for_an_operator_file(tmp_path, capsys):
+    emitted_bound_certifies(("--set", SPIN1_XY_FILE), "numerically-certified", tmp_path, capsys)
 
 
 def stop_counts(out):
@@ -326,13 +345,13 @@ def stop_counts(out):
 
 
 def test_search_bound_reports_stop_reasons(capsys, monkeypatch):
-    assert run("search-bound", "--set", "spin:xy", "--two-l", "2", "--restarts", "16") == 0
+    assert run("search-bound", "--set", SPIN1_XY_FILE, "--restarts", "16") == 0
     counts = stop_counts(capsys.readouterr().out)
     assert list(counts) == ["gradient", "line-search", "stall", "max-iterations"]
     assert counts["max-iterations"] == 0
     assert sum(counts.values()) == 16
     monkeypatch.setattr(bound_search, "MAX_ITERATIONS", 1)
-    assert run("search-bound", "--set", "spin:xy", "--two-l", "2", "--restarts", "8") == 0
+    assert run("search-bound", "--set", SPIN1_XY_FILE, "--restarts", "8") == 0
     out = capsys.readouterr().out
     assert stop_counts(out) == {"gradient": 0, "line-search": 0, "stall": 0, "max-iterations": 8}
     assert "converged: 0" in out
@@ -342,7 +361,7 @@ def test_search_bound_reports_stop_reasons(capsys, monkeypatch):
 def test_emitted_bound_file_is_auditable(tmp_path, capsys):
     bound_path = tmp_path / "bound.json"
     assert run(
-        "search-bound", "--set", "spin:xy", "--two-l", "2", "--restarts", "16", "--seed", "5",
+        "search-bound", "--set", SPIN1_XY_FILE, "--restarts", "16", "--seed", "5",
         "--emit-bound", str(bound_path),
     ) == 0
     out = capsys.readouterr().out
