@@ -447,6 +447,21 @@ def test_malformed_bound_file_is_a_structured_error(name, tmp_path, capsys):
     assert "ENTANGLED" not in captured.out
 
 
+def test_emitted_interval_file_is_auditable(tmp_path, capsys):
+    bound_path = tmp_path / "bound.json"
+    assert run("search-bound", "--set", "spin:xy", "--two-l", "2", "--emit-bound", str(bound_path)) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(bound_path.read_text())
+    assert doc["lurcert_version"] == lurcert.__version__ == "0.3.0"
+    assert "search" not in doc
+    lower, upper = doc["interval"]
+    assert (doc["provenance"], doc["bound"]) == ("interval", lower)
+    assert (f"interval: [{cli._fmt(lower)}, {cli._fmt(upper)}]  gap: {cli._fmt(doc['gap'])}"
+            f"  boxes: {doc['boxes']}") in out.splitlines()
+    assert doc["gap"] == upper - lower and doc["boxes"] >= 1
+    assert cli._load_relation_side(doc, "bound file").provenance == "interval"
+
+
 def test_wellformed_bound_file_certifies(tmp_path, capsys):
     bound_path = tmp_path / "bound.json"
     bound_path.write_text(json.dumps(GOOD_SIDE))
