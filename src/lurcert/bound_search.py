@@ -459,8 +459,9 @@ def interval_minimum(operator_set: OperatorSet, reach: float) -> IntervalResult:
     The search runs level by level, one stacked ``eigvalsh`` per level.
     The first level evaluates the root box [lo, hi] and h at both ends; each
     box whose bound h(t) - r^2, less the proof allowance, is still below
-    upper - INTERVAL_TOLERANCE * max(1, upper) splits into BOX_SPLIT
-    boxes, and the others are final.  ``upper`` is the sum at the
+    upper - tol, tol = INTERVAL_TOLERANCE * max(1, upper), splits into
+    BOX_SPLIT boxes while upper > tol and r^2 > tol / BOX_SPLIT^2, and the
+    others are final.  ``upper`` is the sum at the
     eigenvector of Q - 2tA at the best t evaluated, plus the bound on the
     rounding of that evaluation.  ``lower`` is max(0, the
     least final box bound s + t^2 - r^2), where each s is proved by a

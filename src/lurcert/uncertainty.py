@@ -36,7 +36,6 @@ ANALYTIC = "analytic"
 NUMERICALLY_CERTIFIED = "numerically-certified"
 # the proven lower end of an interval search (bound_search.interval_minimum)
 INTERVAL = "interval"
-PROVENANCES = (ANALYTIC, NUMERICALLY_CERTIFIED, INTERVAL)
 
 
 def real_part(traces, scale=1.0):
@@ -98,7 +97,7 @@ class UncertaintyRelation:
     provenance: str
 
     def __post_init__(self):
-        if self.provenance not in PROVENANCES:
+        if self.provenance not in (ANALYTIC, NUMERICALLY_CERTIFIED, INTERVAL):
             raise InvalidParameterError(f"unknown provenance {self.provenance!r}")
         if self.bound < 0:
             raise InvalidParameterError(f"bound must be nonnegative, got {self.bound}")
