@@ -483,6 +483,22 @@ def test_a_failed_cholesky_proves_nothing(monkeypatch, tmp_path, capsys):
     assert json.loads(bound_path.read_text())["bound"] == 0.0
 
 
+def test_a_failed_stack_is_proved_matrix_by_matrix(monkeypatch):
+    # one failing matrix fails numpy's stacked call; the others still prove
+    op_set, reach = builtin_set("spin", "xy", 3)
+    proved = interval_minimum(op_set, reach)
+    cholesky = np.linalg.cholesky
+
+    def stack_fails(a):
+        if np.ndim(a) == 3:
+            raise np.linalg.LinAlgError("patched to fail")
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", stack_fails)
+    res = interval_minimum(op_set, reach)
+    assert res.lower == proved.lower > 0
+
+
 def test_a_widened_shift_still_proves_a_lower_end(monkeypatch):
     # the first factorization of every box fails, so each proof takes the
     # once-widened shift, and the lower end moves down but stays proved
