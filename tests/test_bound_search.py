@@ -520,8 +520,8 @@ def test_a_widened_shift_still_proves_a_lower_end(monkeypatch):
 
 def exactly_above(axes, scale, two_l, t, floor):
     """Whether lambda_min(Q - 2tA) >= floor - t^2 holds for the exact
-    spin-l L_x, L_y (and L_z for ``axes="xyz"``) times ``scale``, A = the
-    first.  Q is diagonal and A tridiagonal, with off-diagonal squares
+    spin-l L_x, L_y (and L_z for ``axes="xyz"``) times ``scale``, with A
+    = L_x or L_y.  Q is diagonal and A tridiagonal, with off-diagonal squares
     t^2 scale^2 (l(l+1) - m(m+1)) in rationals, so the LDL^T pivots decide
     it exactly."""
     l = Fraction(two_l, 2)
@@ -538,10 +538,13 @@ def exactly_above(axes, scale, two_l, t, floor):
     return True
 
 
-@pytest.mark.parametrize("family, axes", [("spin", "xy"), ("stokes", "12"), ("spin", "xyz"), ("stokes", "123")])
+@pytest.mark.parametrize("family, axes", [
+    ("spin", "xy"), ("stokes", "12"), ("spin", "xyz"), ("stokes", "123"), ("spin", "yx"), ("stokes", "21"),
+])
 def test_final_boxes_cover_the_range_and_hold_exactly(family, axes):
     # every final box bound is checked against the exact spin matrices in
-    # rational arithmetic, and the final boxes tile [0, c l]
+    # rational arithmetic, and the final boxes tile [0, c l]; with L_y first
+    # the pivots are those of L_x, since they take only |off-diagonal|^2
     scale = 1 if family == "spin" else 2
     for two_l in range(1, 9):
         op_set, reach = builtin_set(family, axes, two_l)
