@@ -122,7 +122,8 @@ def _operator_stack(operator_set: OperatorSet) -> np.ndarray:
     """
     ops = np.stack(list(operator_set))
     ops = np.concatenate([(ops @ ops).sum(axis=0)[None], ops])
-    return np.block([[ops.real, -ops.imag], [ops.imag, ops.real]])
+    top = np.concatenate([ops.real, -ops.imag], axis=2)
+    return np.concatenate([top, np.concatenate([ops.imag, ops.real], axis=2)], axis=1)
 
 
 def _evaluate(stack: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

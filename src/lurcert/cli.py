@@ -288,6 +288,10 @@ def _parse_operator_spec(spec: str, two_l: int | None) -> tuple[OperatorSet, flo
         raise InvalidParameterError(
             f"operator set {spec!r} is neither spin:<xyz>, stokes:<123>, nor a JSON file"
         )
+    if two_l is not None:
+        raise InvalidParameterError(
+            f"--two-l applies to built-in spin and stokes sets, not to the operator file {spec!r}"
+        )
     doc = parse_json(read_utf8(path))
     if not isinstance(doc, dict) or "operators" not in doc:
         raise InvalidParameterError('operator file must be an object with an "operators" key')
@@ -399,6 +403,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="lurcert", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    # each sub-command's parser by name, for ``main`` to hand its arguments to
+    parser.commands = sub.choices
 
     p = sub.add_parser("certify", help="evaluate a local uncertainty relation on a state file")
     p.add_argument("--state", required=True, help="JSON state file")
@@ -464,7 +470,15 @@ def _check_two_l(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _shared_parser()
+    # The top-level parser would scan every argument once before handing
+    # them to the sub-command's parser, which is the same object; anything
+    # but a sub-command name first (no arguments, -h, --version, --, an
+    # unknown name) still goes through the top-level parser.
+    command = parser.commands.get(argv[0]) if argv else None
+    args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
     try:
         _check_two_l(args)
         return args.func(args)

@@ -217,41 +217,42 @@ def joint_moments(
     rho_a = r.trace(axis1=1, axis2=3).reshape(-1)
     rho_b = r.trace(axis1=0, axis2=2).reshape(-1)
     pairs = r.transpose(0, 2, 1, 3).reshape(da * da, db * db)
-    vec_a, vec_b = joint.trace_rows[:2]
-    return _local_moments(rho_a, rho_b, ((vec_a @ pairs) * vec_b).sum(axis=1), joint)
-
-
-def _ket_moments(ket: PureState, joint: JointOperatorSet) -> tuple[np.ndarray, np.ndarray]:
-    """``joint_moments`` of the pure state ``ket`` from its d_A x d_B
-    amplitude matrix Psi, at O(K N^3) and with no D x D array:
-    rho_A = Psi Psi^dag, rho_B = Psi^T Psi^* and
-    <A_i (x) B_i> = sum conj(Psi) * (A_i Psi B_i^T)."""
-    da, db = joint.dim_a, joint.dim_b
-    psi = ket.amplitudes.reshape(da, db)
-    vec_a, vec_b = joint.trace_rows[:2]
-    # the rows reshape to the A_i^T and the B_i^T
-    moved = vec_a.reshape(-1, da, da).transpose(0, 2, 1) @ psi @ vec_b.reshape(-1, db, db)
-    cross = (psi.conj() * moved).sum(axis=(1, 2))
-    return _local_moments((psi @ psi.conj().T).reshape(-1), (psi.T @ psi.conj()).reshape(-1), cross, joint)
-
-
-def _mixed_moments(joint: JointOperatorSet) -> tuple[np.ndarray, np.ndarray]:
-    """``joint_moments`` of the maximally mixed state 1/D in closed form:
-    rho_A = 1/d_A, rho_B = 1/d_B and <A_i (x) B_i> = Tr A_i Tr B_i / D."""
-    da, db = joint.dim_a, joint.dim_b
-    eye_a, eye_b = np.eye(da).reshape(-1), np.eye(db).reshape(-1)
-    vec_a, vec_b = joint.trace_rows[:2]
-    return _local_moments(eye_a / da, eye_b / db, (vec_a @ eye_a) * (vec_b @ eye_b) / (da * db), joint)
-
-
-def _local_moments(rho_a, rho_b, cross, joint: JointOperatorSet) -> tuple[np.ndarray, np.ndarray]:
-    """<J_i> and <J_i^2> from vec(rho_A), vec(rho_B) and the <A_i (x) B_i>,
-    through the scaled imaginary-part guard."""
     vec_a, vec_b, sq_a, sq_b = joint.trace_rows
+    cross = ((vec_a @ pairs) * vec_b).sum(axis=1)
     scales = joint.guard_scales
     mean = real_part(vec_a @ rho_a + vec_b @ rho_b, scales)
     second = real_part(sq_a @ rho_a + sq_b @ rho_b + 2 * cross, scales)
     return mean, second
+
+
+def _ket_moments(ket: PureState, joint: JointOperatorSet) -> tuple[np.ndarray, np.ndarray]:
+    """``joint_moments`` of the pure state ``ket`` from its d_A x d_B
+    amplitude matrix Psi, at O(K N^3) and with no D x D array: J_i psi is
+    S_i = A_i Psi + Psi B_i^T, so <J_i^2> = ||S_i||^2, real and
+    nonnegative by construction, and <J_i> = Re sum conj(Psi) * S_i,
+    through the scaled imaginary-part guard."""
+    da, db = joint.dim_a, joint.dim_b
+    psi = ket.amplitudes.reshape(da, db)
+    vec_a, vec_b = joint.trace_rows[:2]
+    # the rows reshape to the A_i^T and the B_i^T
+    moved = vec_a.reshape(-1, da, da).transpose(0, 2, 1) @ psi + psi @ vec_b.reshape(-1, db, db)
+    flat = moved.reshape(len(moved), -1)
+    mean = real_part(flat @ psi.conj().reshape(-1), joint.guard_scales)
+    parts = flat.view(float)
+    return mean, np.einsum("ij,ij->i", parts, parts)
+
+
+def _mixed_moments(joint: JointOperatorSet) -> tuple[np.ndarray, np.ndarray]:
+    """``joint_moments`` of the maximally mixed state 1/D in closed form:
+    <J_i> = Tr A_i/d_A + Tr B_i/d_B and
+    <J_i^2> = Tr A_i^2/d_A + Tr B_i^2/d_B + 2 Tr A_i Tr B_i/D."""
+    da, db = joint.dim_a, joint.dim_b
+    # the diagonal of O sits at every (d+1)-th entry of its row vec(O^T),
+    # and the diagonal of a Hermitian O is real
+    tr_a, tr_b, tr_sq_a, tr_sq_b = (
+        rows[:, :: d + 1].real.sum(axis=1) for rows, d in zip(joint.trace_rows, (da, db, da, db))
+    )
+    return tr_a / da + tr_b / db, tr_sq_a / da + tr_sq_b / db + 2 * tr_a * tr_b / (da * db)
 
 
 class Score(NamedTuple):

@@ -89,26 +89,32 @@ def ladder_raising(spin: SpinQuantum) -> np.ndarray:
     return op
 
 
-def spin_components(spin: SpinQuantum) -> OperatorSet:
-    """Angular momentum components {L_x, L_y, L_z} of a spin-l system."""
+def _spin_matrices(spin: SpinQuantum) -> tuple[np.ndarray, ...]:
+    """L_x, L_y and L_z as complex arrays, not yet validated."""
     lp = ladder_raising(spin)
     lm = lp.conj().T
     lx = (lp + lm) / 2
     ly = (lp - lm) / 2j
     lz = np.diag(spin.m_values()).astype(complex)
-    return OperatorSet(label=f"L(l={spin})", operators=(lx, ly, lz))
+    return lx, ly, lz
+
+
+def _stokes_matrices(n_photons: int) -> tuple[np.ndarray, ...]:
+    """S_1, S_2 and S_3 = 2L_x, 2L_y and 2L_z at l = n/2, not yet validated."""
+    if n_photons < 0:
+        raise InvalidParameterError(f"photon number must be nonnegative, got {n_photons}")
+    return tuple(2 * op for op in _spin_matrices(SpinQuantum(int(n_photons))))
+
+
+def spin_components(spin: SpinQuantum) -> OperatorSet:
+    """Angular momentum components {L_x, L_y, L_z} of a spin-l system."""
+    return OperatorSet(label=f"L(l={spin})", operators=_spin_matrices(spin))
 
 
 def stokes_components(n_photons: int) -> OperatorSet:
     """Stokes operators {S_1, S_2, S_3} = {2L_x, 2L_y, 2L_z} of an n-photon
     polarization state (dimension n + 1; Pauli matrices at n = 1)."""
-    if n_photons < 0:
-        raise InvalidParameterError(f"photon number must be nonnegative, got {n_photons}")
-    base = spin_components(SpinQuantum(int(n_photons)))
-    return OperatorSet(
-        label=f"S(n={n_photons})",
-        operators=tuple(2 * op for op in base),
-    )
+    return OperatorSet(label=f"S(n={n_photons})", operators=_stokes_matrices(n_photons))
 
 
 _SPIN_AXES = {"x": 0, "y": 1, "z": 2}
@@ -117,19 +123,17 @@ _STOKES_AXES = {"1": 0, "2": 1, "3": 2}
 
 def spin_subset(spin: SpinQuantum, axes: str) -> OperatorSet:
     """Subset of spin components, e.g. ``axes="xy"`` for {L_x, L_y}."""
-    full = spin_components(spin)
-    picked = _pick(full, axes, _SPIN_AXES)
+    picked = _pick(_spin_matrices(spin), axes, _SPIN_AXES)
     return OperatorSet(label=f"L{{{','.join(axes)}}}(l={spin})", operators=picked)
 
 
 def stokes_subset(n_photons: int, components: str) -> OperatorSet:
     """Subset of Stokes components, e.g. ``components="12"`` for {S_1, S_2}."""
-    full = stokes_components(n_photons)
-    picked = _pick(full, components, _STOKES_AXES)
+    picked = _pick(_stokes_matrices(n_photons), components, _STOKES_AXES)
     return OperatorSet(label=f"S{{{','.join(components)}}}(n={n_photons})", operators=picked)
 
 
-def _pick(full: OperatorSet, names: str, table: dict[str, int]) -> tuple[np.ndarray, ...]:
+def _pick(full: tuple[np.ndarray, ...], names: str, table: dict[str, int]) -> tuple[np.ndarray, ...]:
     if not names:
         raise InvalidParameterError("component subset must not be empty")
     seen = set()
@@ -140,5 +144,5 @@ def _pick(full: OperatorSet, names: str, table: dict[str, int]) -> tuple[np.ndar
         if name in seen:
             raise InvalidParameterError(f"component {name!r} repeated")
         seen.add(name)
-        picked.append(full.operators[table[name]])
+        picked.append(full[table[name]])
     return tuple(picked)

@@ -261,3 +261,20 @@ def test_built_states_ignore_the_validation_tolerance(tmp_path, capsys, monkeypa
     assert all(code == 0 and err == "" and data for code, _, err, data in unset)
     for tol in ("1e-6", "1e-16", "1e-20", "bogus", "inf", "0"):
         assert built_outputs(tmp_path, capsys, monkeypatch, tol) == unset, tol
+
+
+SINGLET_ROWS = [
+    *(("white", two_l, relation) for two_l in range(1, 64) for relation in ("l3", "s3")),
+    *(("white", 2, relation) for relation in ("l2n3", "s2n3")),
+    *(("xdecoherence", None, relation) for relation in ("l3", "s3", "l2n3", "s2n3")),
+]
+
+
+def test_singlet_rows_are_exact(tmp_path, capsys):
+    # Each entry of A_i Psi and Psi B_i^T is one product of the same two
+    # doubles, so J_i psi vanishes exactly on the singlet at p = 0.
+    for kind, two_l, relation in SINGLET_ROWS:
+        code, err, rows = sweep(tmp_path, capsys, kind, two_l, "0:0.5:0.5", relation)
+        assert (code, err) == (0, "")
+        assert (rows[0]["parameter"], rows[0]["total"], rows[0]["C"]) == ("0", "0", "1"), (
+            kind, two_l, relation)

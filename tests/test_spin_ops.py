@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lurcert import linalg, spin_ops
 from lurcert.linalg import InvalidParameterError, NotHermitianError
 from lurcert.spin_ops import (
     OperatorSet,
@@ -113,6 +114,29 @@ def test_subsets():
         spin_subset(SpinQuantum(2), "xx")
     with pytest.raises(InvalidParameterError):
         spin_subset(SpinQuantum(2), "")
+
+
+@pytest.mark.parametrize("two_l", [0, 1, 2, 7])
+def test_subsets_validate_only_the_picked_operators(two_l, monkeypatch):
+    checked = []
+
+    def counting(op, what="matrix"):
+        checked.append(what)
+        return linalg.ensure_hermitian(op, what)
+
+    monkeypatch.setattr(spin_ops, "ensure_hermitian", counting)
+    for subset, full, names in (
+        (spin_subset, spin_components(SpinQuantum(two_l)), "xyz"),
+        (stokes_subset, stokes_components(two_l), "123"),
+    ):
+        for picked in (names[2], names[:2], names[::-1]):
+            checked.clear()
+            size = SpinQuantum(two_l) if subset is spin_subset else two_l
+            got = subset(size, picked)
+            assert len(checked) == len(picked)
+            # the same bits as the picked members of the full set
+            want = [full.operators[names.index(name)] for name in picked]
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_operator_set_validation():
