@@ -5,8 +5,7 @@ all states is attained at a pure state; the search space is the unit
 sphere of state vectors.  For the spin and Stokes subsets, rotations reduce
 the minimum to one real variable, and ``interval_minimum`` encloses it in a
 proven interval.  For any other set, projected gradient descent with random
-restarts provides the estimate, and a dense-grid brute force (dimension
-<= 3) the independent cross-check.
+restarts provides the estimate.
 """
 
 from __future__ import annotations
@@ -16,12 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, InvalidParameterError
+from .linalg import InvalidParameterError
 from .spin_ops import OperatorSet
 from .states import PureState
 
-# Margin below a claimed bound before the search declares a refutation.
-REFUTATION_MARGIN = 1e-7
 # Restart minima within this distance of the best count as the same basin.
 AGREEMENT_WINDOW = 1e-8
 # Global-minimum confidence requires this fraction of restarts agreeing.
@@ -265,33 +262,6 @@ def minimize_sum_uncertainty(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class BoundCertification:
-    """Outcome of checking a claimed bound against the search.
-
-    "supported" is evidence, not proof; "refuted" comes with a witness
-    state whose uncertainty sum beats the claim.
-    """
-
-    verdict: str
-    claimed: float
-    achieved: float
-    witness: PureState | None
-    search: SearchResult
-
-
-def certify_bound(
-    operator_set: OperatorSet, claimed: float, config: SearchConfig | None = None
-) -> BoundCertification:
-    """Search for a state refuting ``claimed`` as a lower bound."""
-    if claimed < 0:
-        raise InvalidParameterError(f"claimed bound must be nonnegative, got {claimed}")
-    result = minimize_sum_uncertainty(operator_set, config)
-    if result.minimum < claimed - REFUTATION_MARGIN:
-        return BoundCertification("refuted", claimed, result.minimum, result.argmin, result)
-    return BoundCertification("supported", claimed, result.minimum, None, result)
-
-
 # The interval search stops once upper - lower <= INTERVAL_TOLERANCE * max(1, upper).
 INTERVAL_TOLERANCE = 1e-9
 # Each kept box splits into BOX_SPLIT boxes.  A level evaluates at most
@@ -514,73 +484,3 @@ def interval_minimum(operator_set: OperatorSet, reach: float) -> IntervalResult:
     minimum = float(_evaluate(_operator_stack(operator_set), x)[0][0])
     upper = float(np.nextafter(minimum + red.e0, np.inf))
     return IntervalResult(lower, upper, minimum, argmin, boxes)
-
-
-def _grid_minimum(ops, squares, states: np.ndarray) -> float:
-    total = np.zeros(states.shape[0])
-    for a, a2 in zip(ops, squares):
-        means = np.einsum("ki,ki->k", states.conj(), states @ a.T).real
-        seconds = np.einsum("ki,ki->k", states.conj(), states @ a2.T).real
-        total += seconds - means * means
-    return float(total.min())
-
-
-def brute_force_minimum(
-    operator_set: OperatorSet, grid_resolution: float, full_phases: bool = False
-) -> float:
-    """Exhaustive minimum of the uncertainty sum over a dense grid of
-    normalized state vectors; the independent oracle for small dimensions.
-
-    Dimension 2 scans the full (theta, phi) sphere.  Dimension 3 scans the
-    real-amplitude family (phases restricted to 0 or pi) by default, which
-    contains minimizers for every catalog set; ``full_phases=True`` scans
-    both phases too at the same resolution (use coarse grids).  The grid
-    minimum overshoots the true minimum by O(resolution^2).
-    """
-    if not grid_resolution > 0:
-        raise InvalidParameterError("grid resolution must be positive")
-    dim = operator_set.dim
-    if dim > 3:
-        raise DimensionMismatchError("brute force is limited to dimension <= 3")
-    ops = list(operator_set)
-    squares = [a @ a for a in ops]
-
-    if dim == 1:
-        return _grid_minimum(ops, squares, np.ones((1, 1), dtype=complex))
-
-    half_turn = np.arange(0.0, np.pi / 2 + grid_resolution / 2, grid_resolution)
-    full_turn = np.arange(0.0, 2 * np.pi, grid_resolution)
-
-    if dim == 2:
-        theta, phi = np.meshgrid(half_turn, full_turn, indexing="ij")
-        states = np.stack(
-            [np.cos(theta), np.sin(theta) * np.exp(1j * phi)], axis=-1
-        ).reshape(-1, 2)
-        return _grid_minimum(ops, squares, states)
-
-    if full_phases:
-        best = np.inf
-        for t1 in half_turn:
-            t2, p1, p2 = np.meshgrid(half_turn, full_turn, full_turn, indexing="ij")
-            states = np.stack(
-                [
-                    np.full(t2.shape, np.cos(t1), dtype=complex),
-                    np.sin(t1) * np.cos(t2) * np.exp(1j * p1),
-                    np.sin(t1) * np.sin(t2) * np.exp(1j * p2),
-                ],
-                axis=-1,
-            ).reshape(-1, 3)
-            best = min(best, _grid_minimum(ops, squares, states))
-        return best
-
-    t1, t2 = np.meshgrid(half_turn, half_turn, indexing="ij")
-    blocks = []
-    for s1 in (1.0, -1.0):
-        for s2 in (1.0, -1.0):
-            blocks.append(
-                np.stack(
-                    [np.cos(t1), s1 * np.sin(t1) * np.cos(t2), s2 * np.sin(t1) * np.sin(t2)],
-                    axis=-1,
-                ).reshape(-1, 3)
-            )
-    return _grid_minimum(ops, squares, np.concatenate(blocks).astype(complex))

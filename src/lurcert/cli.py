@@ -260,9 +260,12 @@ def cmd_family(args) -> int:
                 [_mixed_moments(joint) if c is None else _ket_moments(c, joint) for c in components]
             ).reshape(len(components), -1)
             limit_s = _fmt(joint.local_limit)
+            # where a row's <J_i^2> start
+            split = len(joint.set_a)
         # one GEMV per row: a stacked product over the grid would be a GEMM,
         # which sums in another order and changes bits
-        _, total, violation, _ = score(np.dot(weights, moments), joint)
+        row = np.dot(weights, moments)
+        _, total, violation, _ = score((row[:split], row[split:]), joint)
         closed = closed_form_violation(args.kind, args.relation, params)
         tail = "," if closed is None else f"{_fmt(closed)},{_fmt(abs(violation - closed))}"
         lines.append(f"{_fmt(value)},{_fmt(total)},{limit_s},{_fmt(violation)},{tail}\n")

@@ -266,23 +266,15 @@ class Score(NamedTuple):
 
 def score(moments, joint: JointOperatorSet) -> Score:
     """Clipped variances <J_i^2> - <J_i>^2, their total, C and the verdict,
-    from the pair (<J_i>, <J_i^2>) that ``joint_moments`` returns or from
-    the flat row of the <J_i> followed by the <J_i^2>, as a family sweep
-    mixes them.
+    from the pair of arrays (<J_i>, <J_i^2>) that ``joint_moments`` returns.
 
     The arithmetic runs on Python floats, which round each product and
     difference as numpy's elementwise operations do."""
-    scales = joint.guard_scales
-    if isinstance(moments, np.ndarray):
-        values = moments.tolist()
-        # the <J_i> lead the row, and zip stops after the last component
-        means, seconds = values, values[len(scales):]
-    else:
-        means, seconds = (row.tolist() for row in moments)
+    means, seconds = moments[0].tolist(), moments[1].tolist()
     # only a negative variance needs the clip and its scale
     per_component = tuple(
         v if (v := b - a * a) >= 0 else clip_variance(v, s)
-        for a, b, s in zip(means, seconds, scales)
+        for a, b, s in zip(means, seconds, joint.guard_scales)
     )
     total = sum(per_component)
     limit = joint.local_limit

@@ -101,9 +101,7 @@ def _spin_matrices(spin: SpinQuantum) -> tuple[np.ndarray, ...]:
 
 def _stokes_matrices(n_photons: int) -> tuple[np.ndarray, ...]:
     """S_1, S_2 and S_3 = 2L_x, 2L_y and 2L_z at l = n/2, not yet validated."""
-    if n_photons < 0:
-        raise InvalidParameterError(f"photon number must be nonnegative, got {n_photons}")
-    return tuple(2 * op for op in _spin_matrices(SpinQuantum(int(n_photons))))
+    return tuple(2 * op for op in _spin_matrices(SpinQuantum(n_photons)))
 
 
 def spin_components(spin: SpinQuantum) -> OperatorSet:

@@ -1,4 +1,4 @@
-"""Variances, sum uncertainties, and the catalog of certified lower bounds.
+"""Variances, trace guards, and the catalog of certified lower bounds.
 
 The catalog entries are the analytic minima of the uncertainty sum over all
 states for the standard spin/Stokes sets: the three-component bounds l and
@@ -80,11 +80,6 @@ def variance(rho: DensityMatrix, a: np.ndarray) -> float:
     mean = _real_trace(rho.matrix @ a)
     second = _real_trace(rho.matrix @ (a @ a))
     return clip_variance(second - mean * mean)
-
-
-def sum_uncertainty(rho: DensityMatrix, operator_set: OperatorSet) -> float:
-    """Sum of the variances of the set members."""
-    return sum(variance(rho, a) for a in operator_set)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from lurcert.bound_search import SearchConfig, brute_force_minimum, minimize_sum_uncertainty
+from lurcert.bound_search import SearchConfig, minimize_sum_uncertainty
 from lurcert.lur import certify, joint_from_catalog
 from lurcert.spin_ops import SpinQuantum, spin_components, spin_subset
 from lurcert.states import (
@@ -18,9 +18,15 @@ from lurcert.states import (
     white_noise_mixture,
     x_decoherence_mixture,
 )
-from lurcert.uncertainty import catalog_bound, sum_uncertainty
+from lurcert.uncertainty import catalog_bound
 
-from oracles import random_product_state, stokes_visibilities, wootters_concurrence
+from oracles import (
+    brute_force_minimum,
+    random_product_state,
+    stokes_visibilities,
+    sum_uncertainty,
+    wootters_concurrence,
+)
 
 
 def report(number, ok, detail):

@@ -18,16 +18,16 @@ from lurcert.bound_search import (
     _evaluate,
     _minimize_block,
     _operator_stack,
-    brute_force_minimum,
-    certify_bound,
     interval_minimum,
     minimize_sum_uncertainty,
 )
 from lurcert.linalg import DimensionMismatchError, InvalidParameterError
 from lurcert.lur import build_joint, certify
 from lurcert.spin_ops import OperatorSet, SpinQuantum, spin_components, spin_subset, stokes_subset
-from lurcert.states import min_uncertainty_state_n3, read_state, validate
-from lurcert.uncertainty import catalog_bound, sum_uncertainty
+from lurcert.states import read_state, validate
+from lurcert.uncertainty import catalog_bound
+
+from oracles import brute_force_minimum, sum_uncertainty
 
 FAST = SearchConfig(restarts=16)
 
@@ -199,32 +199,6 @@ def test_restart_bookkeeping_healthy_run():
     assert not res.low_confidence
 
 
-def test_certify_bound_supported():
-    cert = certify_bound(spin_subset(SpinQuantum(2), "xy"), 7 / 16, FAST)
-    assert cert.verdict == "supported"
-    assert cert.witness is None
-    assert abs(cert.achieved - 0.4375) < 1e-6
-
-
-def test_certify_bound_refuted_with_witness():
-    op_set = spin_subset(SpinQuantum(2), "xy")
-    cert = certify_bound(op_set, 0.5, FAST)
-    assert cert.verdict == "refuted"
-    assert cert.witness is not None
-    beat = sum_uncertainty(cert.witness.projector(), op_set)
-    assert beat < 0.5 - 1e-7
-    # the known minimal state already beats the claim
-    known = sum_uncertainty(min_uncertainty_state_n3(0.0).projector(), op_set)
-    assert known < 0.5
-
-
-def test_certify_bound_stokes_qubit():
-    cert = certify_bound(stokes_subset(1, "12"), 1.0, FAST)
-    assert cert.verdict == "supported"
-    with pytest.raises(InvalidParameterError):
-        certify_bound(stokes_subset(1, "12"), -0.5, FAST)
-
-
 def test_brute_force_spin_half():
     res = np.pi / 200
     ops3 = spin_components(SpinQuantum(1))
@@ -274,6 +248,25 @@ def test_search_agrees_with_brute_force(label, relation):
     assert brute >= searched - 1e-7  # grid states can never beat the true minimum
     assert brute - searched <= 2 * grid_error(relation.operator_set, resolution)
     assert abs(searched - relation.bound) < 1e-6
+
+
+CATALOG_ENTRIES = [
+    *((kind, two_l) for kind in ("spin3", "stokes3") for two_l in range(1, 12)),
+    ("spin2_N2", 1),
+    ("stokes2_N2", 1),
+    ("spin2_N3", 2),
+    ("stokes2_N3", 2),
+]
+
+
+@pytest.mark.parametrize("kind, two_l", CATALOG_ENTRIES)
+def test_no_restart_beats_a_catalog_bound(kind, two_l):
+    # the descent as adversary: a restart that ends below the bound, less
+    # rounding, is a state that refutes it
+    relation = catalog_bound(kind, SpinQuantum(two_l) if kind.startswith("spin") else two_l)
+    result = minimize_sum_uncertainty(relation.operator_set, SearchConfig(64, 0))
+    floor = relation.bound - 1e-12 * max(1.0, relation.bound)
+    assert min(result.restart_minima) >= floor
 
 
 def test_search_config_validation():

@@ -132,9 +132,8 @@ def assert_bit_identical(rho, reference_matrix, joints):
         assert [row.tobytes() for row in got] == [row.tobytes() for row in want]
         cert = certify(rho, joint)
         ref = score(want, joint)
-        # float arithmetic, on the pair and on the flat row, equals the arrays'
+        # float arithmetic equals the arrays'
         assert ref == reference_score(want, joint)
-        assert score(np.concatenate(want), joint) == ref
         assert cert.per_component == ref.per_component
         assert cert.total == ref.total
         assert cert.relative_violation == ref.relative_violation

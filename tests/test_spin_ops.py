@@ -64,6 +64,21 @@ def test_stokes_zero_photons():
         stokes_components(-1)
 
 
+@pytest.mark.parametrize("n", [2.7, True, "3", -1])
+def test_stokes_refuses_a_photon_number_that_is_not_a_nonnegative_integer(n):
+    with pytest.raises(InvalidParameterError):
+        stokes_components(n)
+    with pytest.raises(InvalidParameterError):
+        stokes_subset(n, "12")
+
+
+def test_stokes_takes_a_numpy_integer_photon_number():
+    ops = stokes_subset(np.int64(2), "12")
+    assert ops.label == "S{1,2}(n=2)"
+    for got, want in zip(ops, stokes_components(2).operators[:2]):
+        assert np.array_equal(got, want)
+
+
 def test_stokes_two_photon_casimir():
     ops = stokes_components(2)
     total = sum(op @ op for op in ops)

@@ -15,11 +15,10 @@ from lurcert.uncertainty import (
     catalog_bound,
     clip_variance,
     real_part,
-    sum_uncertainty,
     variance,
 )
 
-from oracles import random_mixed_state, random_pure_state
+from oracles import random_mixed_state, random_pure_state, sum_uncertainty
 
 
 def basis_state(dim, k):
