@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import __version__
 from .linalg import DimensionMismatchError, InvalidParameterError
 from .spin_ops import OperatorSet, SpinQuantum
 from .states import DensityMatrix, PureState, _check_fraction, _check_probabilities
@@ -185,6 +186,7 @@ class LurCertificate:
             "bound_provenance": list(self.bound_provenance),
             "state_digest": self.state_digest,
             "relation": self.relation_label,
+            "lurcert_version": __version__,
         }
 
 

@@ -99,9 +99,19 @@ def _spin_matrices(spin: SpinQuantum) -> tuple[np.ndarray, ...]:
     return lx, ly, lz
 
 
+def _photon_number(n) -> int:
+    """``n`` as an int: the one check of a photon number.  A bool, a float,
+    a string or a negative number raises InvalidParameterError."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise InvalidParameterError(f"photon number n must be an integer, got {n!r}")
+    if n < 0:
+        raise InvalidParameterError(f"photon number n must be nonnegative, got {n}")
+    return int(n)
+
+
 def _stokes_matrices(n_photons: int) -> tuple[np.ndarray, ...]:
     """S_1, S_2 and S_3 = 2L_x, 2L_y and 2L_z at l = n/2, not yet validated."""
-    return tuple(2 * op for op in _spin_matrices(SpinQuantum(n_photons)))
+    return tuple(2 * op for op in _spin_matrices(SpinQuantum(_photon_number(n_photons))))
 
 
 def spin_components(spin: SpinQuantum) -> OperatorSet:

@@ -406,7 +406,7 @@ def maximally_mixed(dims) -> DensityMatrix:
 # Schema: {"dims": [dA] or [dA, dB], "matrix": [[[re, im], ...], ...]}
 # Full matrices, reals with 17 significant digits (exact double round trip).
 # A negative zero is written as 0, which JSON reads back as +0.0, so the
-# text and the digest of a state survive a write/read round trip.
+# text of a state survives a write/read round trip.
 
 
 def state_to_json(state: DensityMatrix) -> str:
@@ -524,5 +524,16 @@ def read_state(path, tolerance: float | None = None) -> DensityMatrix:
 
 
 def state_digest(state: DensityMatrix) -> str:
-    """SHA-256 of the canonical JSON serialization."""
-    return hashlib.sha256(state_to_json(state).encode("utf-8")).hexdigest()
+    """SHA-256 of the header ``lurcert-state/2 dims=<d_a>[,<d_b>]\\n`` in
+    ASCII, followed by the stored matrix's row-major (re, im) doubles as
+    little-endian IEEE-754 binary64, each negative zero as +0.0.
+
+    Two states share a digest exactly when they share dims and doubles, up
+    to the sign of zero, as their file texts do; no double is formatted.
+    """
+    header = f"lurcert-state/2 dims={','.join(map(str, state.dims))}\n"
+    # the stored matrix is C-ordered complex, so its float view is the
+    # doubles in row-major (re, im) order; + 0.0 turns -0.0 into +0.0
+    digest = hashlib.sha256(header.encode("ascii"))
+    digest.update((state.matrix.view(float) + 0.0).astype("<f8", copy=False))
+    return digest.hexdigest()

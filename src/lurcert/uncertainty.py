@@ -19,6 +19,7 @@ from .linalg import DimensionMismatchError, InvalidParameterError, NotHermitianE
 from .spin_ops import (
     OperatorSet,
     SpinQuantum,
+    _photon_number,
     spin_components,
     spin_subset,
     stokes_components,
@@ -133,11 +134,7 @@ def catalog_bound(kind: str, size) -> UncertaintyRelation:
             spin_subset(spin, "xy"), float(_TWO_COMPONENT_BOUNDS[kind]), ANALYTIC
         )
 
-    if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
-        raise InvalidParameterError(f"kind {kind!r} takes an integer photon number, got {size!r}")
-    n = int(size)
-    if n < 0:
-        raise InvalidParameterError(f"photon number must be nonnegative, got {n}")
+    n = _photon_number(size)
     if kind == "stokes3":
         return UncertaintyRelation(stokes_components(n), float(2 * n), ANALYTIC)
     required_n = 1 if kind == "stokes2_N2" else 2

@@ -269,6 +269,24 @@ def test_no_restart_beats_a_catalog_bound(kind, two_l):
     assert min(result.restart_minima) >= floor
 
 
+@pytest.mark.parametrize("spec", ["spin:xy", "stokes:12"])
+@pytest.mark.parametrize("two_l", range(1, 9))
+def test_no_restart_beats_an_emitted_bound_file(tmp_path, capsys, spec, two_l):
+    # the same adversary on what --emit-bound writes: the operators are
+    # rebuilt from the file's [re, im] rows with numpy, not the loader
+    path = tmp_path / "bound.json"
+    argv = ["search-bound", "--set", spec, "--two-l", str(two_l), "--emit-bound", str(path)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    doc = json.loads(path.read_text())
+    pairs = np.array(doc["operators"], dtype=float)
+    ops = OperatorSet(doc["label"], tuple(pairs[..., 0] + 1j * pairs[..., 1]))
+    assert (ops.dim, doc["provenance"]) == (two_l + 1, "interval")
+    result = minimize_sum_uncertainty(ops, SearchConfig(64, 0))
+    floor = doc["bound"] - 1e-12 * max(1.0, doc["bound"])
+    assert min(result.restart_minima) >= floor
+
+
 def test_search_config_validation():
     with pytest.raises(InvalidParameterError):
         SearchConfig(restarts=0)

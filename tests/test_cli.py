@@ -282,6 +282,23 @@ def test_certify_json_digest_is_hashed_once(tmp_path, monkeypatch):
     assert doc["state_digest"] == original(read_state(state))
 
 
+def test_certify_json_formats_no_state_text(tmp_path, monkeypatch):
+    # the digest hashes the stored doubles: certify never writes the state
+    # as text, so it runs with the file writer broken
+    state = tmp_path / "singlet.json"
+    cert_path = tmp_path / "cert.json"
+    run("state-gen", "--kind", "singlet", "--two-l", "2", "--out", str(state))
+
+    def broken(_state):
+        raise AssertionError("certify formatted the state as text")
+
+    monkeypatch.setattr(states, "state_to_json", broken)
+    assert run("certify", "--state", str(state), "--relation", "l3", "--json", str(cert_path)) in (0, 3)
+    doc = json.loads(cert_path.read_text())
+    assert doc["state_digest"] == read_state(state).digest
+    assert doc["lurcert_version"] == lurcert.__version__
+
+
 def reported_minimum(out):
     line = next(l for l in out.splitlines() if l.startswith("minimum:"))
     return float(line.split()[1])
@@ -453,7 +470,7 @@ def test_emitted_interval_file_is_auditable(tmp_path, capsys):
     assert run("search-bound", "--set", "spin:xy", "--two-l", "2", "--emit-bound", str(bound_path)) == 0
     out = capsys.readouterr().out
     doc = json.loads(bound_path.read_text())
-    assert doc["lurcert_version"] == lurcert.__version__ == "0.3.0"
+    assert doc["lurcert_version"] == lurcert.__version__ == "0.4.0"
     assert "search" not in doc
     lower, upper = doc["interval"]
     assert (doc["provenance"], doc["bound"]) == ("interval", lower)

@@ -7,8 +7,15 @@ parser, the component moments as a (K, 2, m) stack mixed with
 ``np.tensordot``, ``reference_score`` on numpy arrays, and a CSV joined
 from its lines.  Every CSV byte, exit code and error line of ``family``
 must equal its output, and the sweep must hold no grid-sized array.
+
+That reference takes its moments from the same ``_ket_moments`` and
+``_mixed_moments`` that ``family`` calls, so ``joint_moment_rows`` checks
+the moments themselves: every total and C cell must lie near the mixture
+of ``joint_moments`` on the validated component projectors and 1/D.
 """
 
+import csv
+import io
 import tracemalloc
 
 import numpy as np
@@ -16,9 +23,15 @@ import pytest
 
 from lurcert import cli
 from lurcert.linalg import LurcertError
-from lurcert.lur import _ket_moments, _mixed_moments, closed_form_violation, joint_from_catalog
+from lurcert.lur import (
+    _ket_moments,
+    _mixed_moments,
+    closed_form_violation,
+    joint_from_catalog,
+    joint_moments,
+)
 from lurcert.spin_ops import SpinQuantum
-from lurcert.states import family_components, family_weights
+from lurcert.states import family_components, family_weights, maximally_mixed
 
 from test_per_state_path import reference_score
 
@@ -111,3 +124,43 @@ def test_a_long_sweep_holds_no_grid_sized_temporary(tmp_path, capsys):
         tracemalloc.stop()
     assert capsys.readouterr().out.endswith("wrote 100000 rows to " + str(out) + "\n")
     assert peak < 2.5 * out.stat().st_size
+
+
+def joint_moment_rows(kind, two_l, relation, values):
+    """(total, C) at each grid value, from ``joint_moments`` on the
+    validated projector of each component and on 1/D, mixed by weight."""
+    spin = SpinQuantum(two_l) if kind == "white" else None
+    dims = (two_l + 1, two_l + 1)
+    joint = joint_from_catalog(relation, *dims)
+    moments = [
+        joint_moments(maximally_mixed(dims) if ket is None else ket.projector(dims), joint)
+        for ket in family_components(kind, spin)
+    ]
+    rows = []
+    for value in values:
+        weights = family_weights(kind, cli._family_params(kind, spin, value))
+        means = sum(w * mean for w, (mean, _) in zip(weights, moments))
+        seconds = sum(w * second for w, (_, second) in zip(weights, moments))
+        total = float(np.maximum(seconds - means * means, 0.0).sum())
+        rows.append((total, 1.0 - total / joint.local_limit))
+    return rows
+
+
+INDEPENDENT_CASES = [
+    *(("white", two_l, relation) for two_l in range(1, 12)
+      for relation in VALID_RELATIONS.get(two_l + 1, ("l3", "s3"))),
+    *(("xdecoherence", 2, relation) for relation in VALID_RELATIONS[3]),
+    *(("bell", 1, relation) for relation in VALID_RELATIONS[2]),
+]
+
+
+@pytest.mark.parametrize("kind, two_l, relation", INDEPENDENT_CASES)
+def test_family_cells_match_joint_moments_of_the_projectors(tmp_path, capsys, kind, two_l, relation):
+    code, err, text = family(tmp_path, capsys, kind, two_l, relation, "0:1:0.05")
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(text)))
+    want = joint_moment_rows(kind, two_l, relation, [float(row["parameter"]) for row in rows])
+    assert len(rows) == len(want) == 21
+    for row, (total, violation) in zip(rows, want):
+        for got, ref in ((float(row["total"]), total), (float(row["C"]), violation)):
+            assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (row["parameter"], got, ref)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import lurcert
 from lurcert import lur, states
 from lurcert.linalg import DimensionMismatchError, InvalidParameterError, LurcertError
 from lurcert.lur import (
@@ -310,7 +311,9 @@ def test_certificate_json_schema():
         "bound_provenance",
         "state_digest",
         "relation",
+        "lurcert_version",
     }
+    assert doc["lurcert_version"] == lurcert.__version__
     assert doc["verdict"] is True
     assert doc["bound_provenance"] == ["analytic", "analytic"]
     assert len(doc["state_digest"]) == 64

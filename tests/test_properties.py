@@ -1,7 +1,10 @@
 """Property tests: invariances the witness total must have, and exact state
 files with stable digests."""
 
+import hashlib
+import json
 import math
+import struct
 
 import numpy as np
 from hypothesis import given, settings
@@ -107,6 +110,14 @@ def file_states(draw):
     return validate(matrix, dims)
 
 
+def recipe_digest(text):
+    """The digest of a state file's text by README's recipe, without lurcert."""
+    doc = json.loads(text)
+    header = "lurcert-state/2 dims=" + ",".join(map(str, doc["dims"])) + "\n"
+    doubles = np.array(doc["matrix"], dtype=float) + 0.0  # -0.0 -> +0.0
+    return hashlib.sha256(header.encode("ascii") + doubles.astype("<f8").tobytes()).hexdigest()
+
+
 @settings(max_examples=60, deadline=None)
 @given(file_states())
 def test_state_file_round_trip_is_exact_and_keeps_the_digest(rho):
@@ -115,27 +126,66 @@ def test_state_file_round_trip_is_exact_and_keeps_the_digest(rho):
     assert back.dims == rho.dims
     assert np.array_equal(back.matrix, rho.matrix)
     assert state_to_json(back) == text
-    assert back.digest == rho.digest
+    assert back.digest == rho.digest == recipe_digest(text)
 
 
-PINNED_SINGLET_DIGEST = "b9e2fa9fbdbaa07433141eb30ca072a1d5b9409a965ea248abc2556007cea111"
+def pinned_digest(header, rows):
+    """SHA-256 of the literal header and the literal (re, im) doubles of
+    each row, packed as little-endian binary64."""
+    doubles = [x for row in rows for x in row]
+    return hashlib.sha256(header + struct.pack(f"<{len(doubles)}d", *doubles)).hexdigest()
+
+
+_H = 0.4999999999999999  # (1/sqrt(2))^2 in doubles
+PINNED_SINGLET_DIGEST = pinned_digest(
+    b"lurcert-state/2 dims=2,2\n",
+    [
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, _H, 0.0, -_H, 0.0, 0.0, 0.0],
+        [0.0, 0.0, -_H, 0.0, _H, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    ],
+)
 
 
 def test_state_digest_is_pinned():
-    # the spin-1/2 singlet holds negative zeros, so this also pins their text
-    assert singlet_state(SpinQuantum(1)).digest == PINNED_SINGLET_DIGEST
+    # the stored spin-1/2 singlet holds negative zeros, hashed as +0.0
+    rho = singlet_state(SpinQuantum(1))
+    assert np.signbit(rho.matrix.view(float)[rho.matrix.view(float) == 0]).any()
+    assert rho.digest == PINNED_SINGLET_DIGEST
 
 
 PINNED_COMPLEX_TEXT = (
     '{"dims":[2],"matrix":[[[0.66666666666666663,0],[0.10000000000000001,-4.9406564584124654e-324]],'
     '[[0.10000000000000001,4.9406564584124654e-324],[0.33333333333333331,0]]]}'
 )
-PINNED_COMPLEX_DIGEST = "915dd55b035218803ae8da10672ff1fe684866b94e48bbe43f602e2d38ce4214"
+PINNED_COMPLEX_DIGEST = pinned_digest(
+    b"lurcert-state/2 dims=2\n",
+    [
+        [0.66666666666666663, 0.0, 0.10000000000000001, -4.9406564584124654e-324],
+        [0.10000000000000001, 4.9406564584124654e-324, 0.33333333333333331, 0.0],
+    ],
+)
 
 
 def test_complex_state_text_and_digest_are_pinned():
     # imaginary cells, 17-digit cells, subnormals and a negative zero
-    # written as 0, in one state
+    # written and hashed as 0, in one state
     rho = validate([[complex(2 / 3, -0.0), 0.1 - 5e-324j], [0.1 + 5e-324j, 1 / 3]], (2,))
     assert state_to_json(rho) == PINNED_COMPLEX_TEXT
     assert rho.digest == PINNED_COMPLEX_DIGEST
+
+
+def test_negative_and_positive_zero_share_a_digest():
+    matrix = np.diag([0.5, 0.5]).astype(complex)
+    negative = matrix.copy()
+    negative.real[0, 1] = negative.real[1, 0] = -0.0
+    negative.imag[:] = -0.0
+    plus, minus = validate(matrix, (2,)), validate(negative, (2,))
+    assert plus.matrix.tobytes() != minus.matrix.tobytes()
+    assert plus.digest == minus.digest
+
+
+def test_dims_are_part_of_the_digest():
+    matrix = np.eye(4, dtype=complex) / 4
+    assert validate(matrix, (4,)).digest != validate(matrix, (2, 2)).digest

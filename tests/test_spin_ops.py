@@ -11,6 +11,7 @@ from lurcert.spin_ops import (
     stokes_components,
     stokes_subset,
 )
+from lurcert.uncertainty import catalog_bound
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -64,12 +65,26 @@ def test_stokes_zero_photons():
         stokes_components(-1)
 
 
-@pytest.mark.parametrize("n", [2.7, True, "3", -1])
-def test_stokes_refuses_a_photon_number_that_is_not_a_nonnegative_integer(n):
-    with pytest.raises(InvalidParameterError):
-        stokes_components(n)
-    with pytest.raises(InvalidParameterError):
-        stokes_subset(n, "12")
+# the three entry points that take a photon number
+PHOTON_ENTRY_POINTS = {
+    "stokes_components": stokes_components,
+    "stokes_subset": lambda n: stokes_subset(n, "12"),
+    "catalog_bound": lambda n: catalog_bound("stokes3", n).operator_set,
+}
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [(2.7, "must be an integer, got 2.7"), (True, "must be an integer, got True"),
+     ("3", "must be an integer, got '3'"), (-1, "must be nonnegative, got -1")],
+)
+def test_stokes_refuses_a_photon_number_that_is_not_a_nonnegative_integer(n, message):
+    # one check and one message, naming the photon number n, on every entry
+    # point: the spin number two_l is not the caller's parameter here
+    for name, build in PHOTON_ENTRY_POINTS.items():
+        with pytest.raises(InvalidParameterError) as info:
+            build(n)
+        assert str(info.value) == f"photon number n {message}", name
 
 
 def test_stokes_takes_a_numpy_integer_photon_number():
@@ -77,6 +92,11 @@ def test_stokes_takes_a_numpy_integer_photon_number():
     assert ops.label == "S{1,2}(n=2)"
     for got, want in zip(ops, stokes_components(2).operators[:2]):
         assert np.array_equal(got, want)
+    for name, build in PHOTON_ENTRY_POINTS.items():
+        got = build(np.int64(2))
+        assert len(got) in (2, 3) and got.label.endswith("(n=2)"), name
+        for a, b in zip(got, stokes_components(2)):
+            assert np.array_equal(a, b), name
 
 
 def test_stokes_two_photon_casimir():
