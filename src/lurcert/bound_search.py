@@ -110,6 +110,19 @@ class SearchResult:
         return {reason: self.restart_stops.count(reason) for reason in STOP_REASONS}
 
 
+def _complex_stack(operator_set: OperatorSet) -> np.ndarray:
+    """(k+1, d, d) complex stack: S = sum_i A_i^2, then the A_i."""
+    ops = np.stack(list(operator_set))
+    return np.concatenate([(ops @ ops).sum(axis=0)[None], ops])
+
+
+def _real_blocks(ops: np.ndarray) -> np.ndarray:
+    """Each complex matrix of the stack ``ops`` as the real symmetric block
+    [[Re, -Im], [Im, Re]]."""
+    top = np.concatenate([ops.real, -ops.imag], axis=2)
+    return np.concatenate([top, np.concatenate([ops.imag, ops.real], axis=2)], axis=1)
+
+
 def _operator_stack(operator_set: OperatorSet) -> np.ndarray:
     """(k+1, 2d, 2d) real stack: S = sum_i A_i^2, then the A_i.
 
@@ -117,10 +130,18 @@ def _operator_stack(operator_set: OperatorSet) -> np.ndarray:
     state vector psi.  There a Hermitian A acts as the real symmetric block
     [[Re A, -Im A], [Im A, Re A]], and x . (block x) = <psi|A|psi>.
     """
-    ops = np.stack(list(operator_set))
-    ops = np.concatenate([(ops @ ops).sum(axis=0)[None], ops])
-    top = np.concatenate([ops.real, -ops.imag], axis=2)
-    return np.concatenate([top, np.concatenate([ops.imag, ops.real], axis=2)], axis=1)
+    return _real_blocks(_complex_stack(operator_set))
+
+
+def _sums(stack: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Uncertainty sums f = <S> - sum_i <A_i>^2 of the columns of ``x``,
+    with their images under the k+1 blocks (one matmul) and the means
+    <A_i>."""
+    size = stack.shape[1]
+    images = (stack.reshape(-1, size) @ x).reshape(len(stack), size, -1)
+    values = np.einsum("dr,kdr->kr", x, images)
+    means = values[1:]
+    return values[0] - np.einsum("kr,kr->r", means, means), images, means
 
 
 def _evaluate(stack: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -129,13 +150,9 @@ def _evaluate(stack: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     f = <S> - sum_i <A_i>^2 with S = sum_i A_i^2, and the gradient
     2 S x - 4 sum_i <A_i> A_i x is projected onto the tangent space of
     the unit sphere; its global-phase component vanishes identically
-    because f is phase invariant.  The k+1 blocks act in one matmul.
+    because f is phase invariant.
     """
-    size = stack.shape[1]
-    images = (stack.reshape(-1, size) @ x).reshape(len(stack), size, -1)
-    values = np.einsum("dr,kdr->kr", x, images)
-    means = values[1:]
-    f = values[0] - np.einsum("kr,kr->r", means, means)
+    f, images, means = _sums(stack, x)
     grad = 2.0 * images[0] - 4.0 * np.einsum("kr,kdr->dr", means, images[1:])
     grad -= np.einsum("dr,dr->r", x, grad) * x
     return f, grad
@@ -254,7 +271,7 @@ def minimize_sum_uncertainty(
     agreeing = sum(1 for f in minima if f - best_f < AGREEMENT_WINDOW)
     return SearchResult(
         minimum=best_f,
-        argmin=PureState.normalized(best_x[:dim] + 1j * best_x[dim:]).phase_normalized(),
+        argmin=PureState.canonical(best_x[:dim] + 1j * best_x[dim:]),
         restart_minima=tuple(minima),
         restart_stops=tuple(stops),
         restarts_agreeing=agreeing,
@@ -306,12 +323,6 @@ class IntervalResult:
         return self.upper - self.lower
 
 
-def _row_norm(m: np.ndarray) -> float:
-    """Largest absolute row sum, which bounds the spectral norm of ``m`` and
-    of its entrywise modulus."""
-    return float(np.abs(m).sum(axis=-1).max())
-
-
 def _round_down(x):
     return np.nextafter(x, -np.inf)
 
@@ -329,47 +340,52 @@ class _Reduction:
     exact spin matrices by the rounding of the stored matrices and of the
     products and sums that form it, at most gamma_w (2P + 4|t| ||A|| +
     |shift|) in spectral norm, where P = sum_i ||A_i||^2 in the largest
-    absolute row sum.  The stored set's uncertainty sum differs from the
+    absolute row sum (which bounds the spectral norm of a matrix and of its
+    entrywise modulus).  The stored set's uncertainty sum differs from the
     exact set's by at most 8 u P.  The allowance c0 + c1 |t| + c2 |shift|
     adds the three, widened by a millionth for the rounding of its own
     evaluation.  ``e0`` bounds the rounding of an uncertainty sum evaluated
     at a vector normalized in floating point, 32 gamma_{2d+8} P, likewise
-    widened.
+    widened.  ``stack`` is the set's ``_operator_stack``.
     """
 
     def __init__(self, operator_set: OperatorSet):
-        ops = list(operator_set)
-        self.q = sum(a @ a for a in ops)
-        self.a = ops[0]
-        if self.q.imag.any() or self.a.imag.any():
-            self.qr, self.ar = (np.block([[m.real, -m.imag], [m.imag, m.real]]) for m in (self.q, self.a))
-        else:
-            self.qr, self.ar = self.q.real.copy(), self.a.real.copy()
-        size, dim = self.qr.shape[0], operator_set.dim
+        ops = _complex_stack(operator_set)
+        self.stack = _real_blocks(ops)
+        self.q, self.a = ops[0], ops[1]
+        # Q and A, real or in block form
+        pair = self.stack[:2] if ops[:2].imag.any() else ops[:2].real.copy()
+        self.qr = pair[0]
+        # 2t A and t (2A) round alike
+        self.ar2 = 2 * pair[1]
+        size, dim = pair.shape[1], operator_set.dim
         alpha = _gamma(size + 1) / (1 - _gamma(size + 1))
-        form = _gamma(2 * dim + 2 * len(ops) + 16)
-        p = sum(_row_norm(a) ** 2 for a in ops)
+        form = _gamma(2 * dim + 2 * len(operator_set) + 16)
+        # largest absolute row sums: of each A_i, and of Q and A as factored
+        norms = np.abs(ops[1:]).sum(axis=-1).max(axis=-1).tolist()
+        p = sum(n**2 for n in norms)
+        qr_norm, ar_norm = np.abs(pair).sum(axis=-1).max(axis=-1).tolist()
+        q_trace, a_trace = np.abs(np.diagonal(ops[:2], axis1=1, axis2=2)).sum(axis=-1).tolist()
         copies = size // dim
         widen = 1 + 1e-6
         # allowance(t, shift) = c0 + c1 |t| + c2 |shift|
-        self.c0 = widen * (alpha * copies * float(np.abs(np.diag(self.q)).sum())
-                           + 2 * form * p + 8 * _UNIT_ROUNDOFF * p + 1e-290)
-        self.c1 = widen * (alpha * copies * 2 * float(np.abs(np.diag(self.a)).sum())
-                           + 4 * form * _row_norm(self.a))
+        self.c0 = widen * (alpha * copies * q_trace + 2 * form * p + 8 * _UNIT_ROUNDOFF * p + 1e-290)
+        self.c1 = widen * (alpha * copies * 2 * a_trace + 4 * form * norms[0])
         self.c2 = widen * (alpha * size + form)
         self.e0 = widen * 32 * _gamma(2 * dim + 8) * p
         # the first shift below an eigenvalue estimate: d0 + d1 |t|
-        self.d0 = 16 * size * _UNIT_ROUNDOFF * _row_norm(self.qr) + 1e-300
-        self.d1 = 32 * size * _UNIT_ROUNDOFF * _row_norm(self.ar)
+        self.d0 = 16 * size * _UNIT_ROUNDOFF * qr_norm + 1e-300
+        self.d1 = 32 * size * _UNIT_ROUNDOFF * ar_norm
 
     def matrices(self, t: np.ndarray) -> np.ndarray:
-        return self.qr - (2 * t)[:, None, None] * self.ar
+        return self.qr - t[:, None, None] * self.ar2
 
-    def floors(self, shift: np.ndarray, t: np.ndarray, r: np.ndarray) -> np.ndarray:
+    def floors(self, shift: np.ndarray, abs_t: np.ndarray, square: np.ndarray, r) -> np.ndarray:
         """Box lower bounds shift - allowance + t^2 - r^2, each step rounded
-        down, for boxes whose shift a factorization proved."""
-        s = _round_down(shift - (self.c0 + self.c1 * np.abs(t) + self.c2 * np.abs(shift)))
-        return _round_down(_round_down(s + _round_down(t * t)) - np.nextafter(r * r, np.inf))
+        down, for boxes whose shift a factorization proved; ``abs_t`` is |t|
+        and ``square`` t^2."""
+        s = _round_down(shift - (self.c0 + self.c1 * abs_t + self.c2 * np.abs(shift)))
+        return _round_down(_round_down(s + _round_down(square)) - np.nextafter(r * r, np.inf))
 
 
 def _factorizes(stack: np.ndarray) -> np.ndarray:
@@ -393,20 +409,22 @@ def _factorizes(stack: np.ndarray) -> np.ndarray:
 def _proved_floors(red: _Reduction, t, r, estimate) -> np.ndarray:
     """Proven box lower bounds; -inf for a box that no retry proves."""
     floors = np.full(t.size, -np.inf)
+    # the boxes not yet proved, and their t, |t|, r, estimate and delta
     pending = np.arange(t.size)
-    delta = red.d0 + red.d1 * np.abs(t)
+    abs_t = np.abs(t)
+    delta = red.d0 + red.d1 * abs_t
     for _ in range(CHOLESKY_RETRIES + 1):
-        shift = estimate[pending] - delta[pending]
-        stack = red.matrices(t[pending])
+        shift = estimate - delta
+        stack = red.matrices(t)
         diagonal = np.einsum("bii->bi", stack)
         diagonal -= shift[:, None]
         ok = _factorizes(stack)
-        done = pending[ok]
-        floors[done] = red.floors(shift[ok], t[done], r[done])
-        pending = pending[~ok]
-        if pending.size == 0:
+        proved = red.floors(shift, abs_t, t * t, r)
+        floors[pending] = np.where(ok, proved, -np.inf)
+        if ok.all():
             break
-        delta[pending] *= SHIFT_WIDENING
+        pending, t, abs_t, r, estimate, delta = (v[~ok] for v in (pending, t, abs_t, r, estimate, delta))
+        delta *= SHIFT_WIDENING
     return floors
 
 
@@ -432,9 +450,9 @@ def interval_minimum(operator_set: OperatorSet, reach: float) -> IntervalResult:
     box whose bound h(t) - r^2, less the proof allowance, is still below
     upper - tol, tol = INTERVAL_TOLERANCE * max(1, upper), splits into
     BOX_SPLIT boxes while upper > tol and r^2 > tol / BOX_SPLIT^2, and the
-    others are final.  ``upper`` is the sum at the
-    eigenvector of Q - 2tA at the best t evaluated, plus the bound on the
-    rounding of that evaluation.  ``lower`` is max(0, the
+    others are final.  The boxes of a level share one radius r.  ``upper``
+    is the sum at the eigenvector of Q - 2tA at the best t evaluated, plus
+    the bound on the rounding of that evaluation.  ``lower`` is max(0, the
     least final box bound s + t^2 - r^2), where each s is proved by a
     Cholesky factorization of Q - 2tA - s 1 (see ``_Reduction``).
     """
@@ -444,43 +462,49 @@ def interval_minimum(operator_set: OperatorSet, reach: float) -> IntervalResult:
     hi = float(reach)
     lo = 0.0 if len(operator_set) > 1 else -hi
     t = np.array([(lo + hi) / 2])
-    r = np.array([(hi - lo) / 2])
+    r = (hi - lo) / 2
     points = np.array([t[0], lo, hi])
     upper, best = np.inf, hi
-    final_t, final_r, final_estimate = [], [], []
+    # each level's final boxes: their midpoints, estimates and common r
+    final_t, final_estimate, final_r = [], [], []
     boxes = 0
     for level in range(MAX_LEVELS):
         estimate = np.linalg.eigvalsh(red.matrices(points))[:, 0]
-        h = estimate + points * points
-        j = int(np.argmin(h))
+        square = points * points
+        h = estimate + square
+        j = h.argmin()
         if h[j] < upper:
             upper, best = float(h[j]), float(points[j])
-        estimate = estimate[: t.size]
+        estimate, square = estimate[: t.size], square[: t.size]
         boxes += t.size
-        floors = red.floors(estimate - (red.d0 + red.d1 * np.abs(t)), t, r)
         tol = INTERVAL_TOLERANCE * max(1.0, upper)
         # A box's bound is at least upper - r^2 less its allowance, so a box
         # with r^2 <= tol / BOX_SPLIT^2 gains nothing that matters by
         # splitting; and a variance sum is never negative, so when upper <= tol
         # the lower end 0 already closes the gap.
-        split = (floors < upper + red.e0 - tol) & (r * r > tol / BOX_SPLIT**2) & (upper > tol)
-        if level + 1 == MAX_LEVELS or BOX_SPLIT * np.count_nonzero(split) > MAX_LEVEL_BOXES:
-            split[:] = False
-        final_t.append(t[~split])
-        final_r.append(r[~split])
-        final_estimate.append(estimate[~split])
-        if not split.any():
+        count = 0
+        if level + 1 < MAX_LEVELS and r * r > tol / BOX_SPLIT**2 and upper > tol:
+            abs_t = np.abs(t)
+            shift = estimate - (red.d0 + red.d1 * abs_t)
+            split = red.floors(shift, abs_t, square, r) < upper + red.e0 - tol
+            count = np.count_nonzero(split)
+        stop = count == 0 or BOX_SPLIT * count > MAX_LEVEL_BOXES
+        final = slice(None) if stop else ~split
+        final_t.append(t[final])
+        final_estimate.append(estimate[final])
+        final_r.append(r)
+        if stop:
             break
-        r = np.repeat(r[split] / BOX_SPLIT, BOX_SPLIT)
-        t = (t[split, None] + r.reshape(-1, BOX_SPLIT) * _CHILD_OFFSETS).ravel()
+        r /= BOX_SPLIT
+        t = (t[split, None] + r * _CHILD_OFFSETS).ravel()
         points = t
 
-    t, r, estimate = (np.concatenate(parts) for parts in (final_t, final_r, final_estimate))
+    r = np.repeat(final_r, [part.size for part in final_t])
+    t, estimate = np.concatenate(final_t), np.concatenate(final_estimate)
     lower = max(0.0, float(_proved_floors(red, t, r, estimate).min()))
-    vector = np.linalg.eigh(red.q - 2 * best * red.a)[1][:, 0]
-    argmin = PureState.normalized(vector).phase_normalized()
+    argmin = PureState.canonical(np.linalg.eigh(red.q - 2 * best * red.a)[1][:, 0])
     # the sum as the descent evaluates it, at the state's real coordinates
     x = np.concatenate([argmin.amplitudes.real, argmin.amplitudes.imag])[:, None]
-    minimum = float(_evaluate(_operator_stack(operator_set), x)[0][0])
+    minimum = float(_sums(red.stack, x)[0][0])
     upper = float(np.nextafter(minimum + red.e0, np.inf))
     return IntervalResult(lower, upper, minimum, argmin, boxes)

@@ -84,8 +84,8 @@ def ladder_raising(spin: SpinQuantum) -> np.ndarray:
     l = spin.l
     m = spin.m_values()
     op = np.zeros((n, n), dtype=complex)
-    for col in range(1, n):
-        op[col - 1, col] = np.sqrt(l * (l + 1) - m[col] * (m[col] + 1))
+    col = np.arange(1, n)
+    op[col - 1, col] = np.sqrt(l * (l + 1) - m[1:] * (m[1:] + 1))
     return op
 
 

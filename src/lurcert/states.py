@@ -168,6 +168,25 @@ def validate(matrix, dims, tolerance: float | None = None) -> DensityMatrix:
     return DensityMatrix(matrix, dims, tolerance)
 
 
+def _unit(vector) -> np.ndarray:
+    """``vector`` as a flat complex array divided by its norm."""
+    v = np.asarray(vector, dtype=complex).reshape(-1)
+    norm = np.linalg.norm(v)
+    if norm == 0:
+        raise InvalidParameterError("cannot normalize the zero vector")
+    return v / norm
+
+
+def _phase_turned(amps: np.ndarray) -> np.ndarray:
+    """``amps`` times the global phase that makes its first amplitude above
+    the norm tolerance real and nonnegative; ``amps`` itself if none is."""
+    idx = np.flatnonzero(np.abs(amps) > _NORM_TOL)
+    if idx.size == 0:
+        return amps
+    lead = amps[idx[0]]
+    return amps * (lead.conjugate() / abs(lead))
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class PureState:
     """Unit-norm state vector."""
@@ -189,11 +208,12 @@ class PureState:
 
     @classmethod
     def normalized(cls, vector) -> "PureState":
-        v = np.asarray(vector, dtype=complex).reshape(-1)
-        norm = np.linalg.norm(v)
-        if norm == 0:
-            raise InvalidParameterError("cannot normalize the zero vector")
-        return cls(v / norm)
+        return cls(_unit(vector))
+
+    @classmethod
+    def canonical(cls, vector) -> "PureState":
+        """``normalized(vector).phase_normalized()``, validated once."""
+        return cls(_phase_turned(_unit(vector)))
 
     @property
     def dim(self) -> int:
@@ -202,12 +222,8 @@ class PureState:
     def phase_normalized(self) -> "PureState":
         """Rotate the global phase so the first non-negligible amplitude is
         real and nonnegative (reproducible serialization)."""
-        amps = self.amplitudes
-        idx = np.flatnonzero(np.abs(amps) > _NORM_TOL)
-        if idx.size == 0:
-            return self
-        lead = amps[idx[0]]
-        return PureState(amps * (lead.conjugate() / abs(lead)))
+        amps = _phase_turned(self.amplitudes)
+        return self if amps is self.amplitudes else PureState(amps)
 
     def projector(self, dims=None) -> DensityMatrix:
         dims = (self.dim,) if dims is None else dims
@@ -316,12 +332,7 @@ def x_basis_kets() -> list[np.ndarray]:
     its first non-negligible component made real positive."""
     lx = spin_components(SpinQuantum(2)).operators[0]
     _, vecs = np.linalg.eigh(lx)
-    kets = []
-    for k in range(3):
-        v = vecs[:, k]
-        lead = v[np.flatnonzero(np.abs(v) > _NORM_TOL)[0]]
-        kets.append(v * (lead.conjugate() / abs(lead)))
-    return kets
+    return [_phase_turned(vecs[:, k]) for k in range(3)]
 
 
 def _anticorrelated_x_kets() -> tuple[np.ndarray, ...]:

@@ -549,6 +549,28 @@ def exactly_above(axes, scale, two_l, t, floor):
     return True
 
 
+def final_boxes(op_set, reach):
+    """``interval_minimum(op_set, reach)`` with its final boxes recorded:
+    the result, and the boxes' midpoints, radii and proved floors."""
+    calls = []
+
+    def recording(red, t, r, estimate, prove=bound_search._proved_floors):
+        calls.append((t, r, prove(red, t, r, estimate)))
+        return calls[-1][2]
+
+    with mock.patch.object(bound_search, "_proved_floors", recording):
+        res = interval_minimum(op_set, reach)
+    [(t, r, floors)] = calls
+    return res, t, r, floors
+
+
+def assert_boxes_tile(t, r, reach):
+    """The boxes [t - r, t + r] tile [0, reach] exactly."""
+    boxes = sorted((Fraction(c) - Fraction(w), Fraction(c) + Fraction(w)) for c, w in zip(t, r))
+    assert boxes[0][0] == 0 and boxes[-1][1] == Fraction(reach)
+    assert all(a[1] == b[0] for a, b in zip(boxes, boxes[1:]))
+
+
 @pytest.mark.parametrize("family, axes", [
     ("spin", "xy"), ("stokes", "12"), ("spin", "xyz"), ("stokes", "123"), ("spin", "yx"), ("stokes", "21"),
 ])
@@ -559,19 +581,9 @@ def test_final_boxes_cover_the_range_and_hold_exactly(family, axes):
     scale = 1 if family == "spin" else 2
     for two_l in range(1, 9):
         op_set, reach = builtin_set(family, axes, two_l)
-        calls = []
-
-        def recording(red, t, r, estimate, prove=bound_search._proved_floors):
-            calls.append((t, r, prove(red, t, r, estimate)))
-            return calls[-1][2]
-
-        with mock.patch.object(bound_search, "_proved_floors", recording):
-            res = interval_minimum(op_set, reach)
-        [(t, r, floors)] = calls
+        res, t, r, floors = final_boxes(op_set, reach)
         assert res.lower == max(0.0, floors.min())
-        boxes = sorted((Fraction(c) - Fraction(w), Fraction(c) + Fraction(w)) for c, w in zip(t, r))
-        assert boxes[0][0] == 0 and boxes[-1][1] == Fraction(reach)
-        assert all(a[1] == b[0] for a, b in zip(boxes, boxes[1:]))
+        assert_boxes_tile(t, r, reach)
         for c, w, floor in zip(t, r, floors):
             c, w = Fraction(c), Fraction(w)
             assert exactly_above("xyz" if len(axes) == 3 else "xy", scale, two_l, c, Fraction(floor) + w * w)
