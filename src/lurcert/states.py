@@ -59,7 +59,8 @@ class DensityMatrix:
     exactly as supplied, so file round trips are bit-exact.  ``tolerance``
     (None for ``DEFAULT_TOLERANCE``) bounds the deviations from
     Hermiticity and from unit trace, and minus it is the floor for the
-    smallest eigenvalue.
+    smallest eigenvalue.  The constructors of this module whose output is
+    valid by construction store it through ``_adopt`` instead, unchecked.
     """
 
     matrix: np.ndarray
@@ -76,11 +77,7 @@ class DensityMatrix:
                 f"validation tolerance must be a finite number above zero, got {tol!r}"
             )
         m = linalg.as_square_matrix(self.matrix)
-        dims = _checked_dims(self.dims)
-        if math.prod(dims) != m.shape[0]:
-            raise DimensionMismatchError(
-                f"dims {dims} imply dimension {math.prod(dims)}, matrix has {m.shape[0]}"
-            )
+        dims = _matched_dims(self.dims, m.shape[0])
 
         # With no imaginary part, Hermitian means real symmetric: check it
         # in real arithmetic.  The deviation is the same number on either
@@ -116,6 +113,23 @@ class DensityMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
+
+    @classmethod
+    def _adopt(cls, matrix: np.ndarray, dims: tuple[int, ...]) -> "DensityMatrix":
+        """The state of ``matrix``, with no check and no copy.
+
+        The one hand-over path of the constructors in this module whose
+        output is valid by construction, each for the reason its docstring
+        gives.  ``matrix`` is a fresh C-ordered complex array that no
+        caller holds, and ``dims`` are checked and match it; the array is
+        marked read-only and stored as it is.  Every input from outside
+        goes through ``DensityMatrix(...)`` instead.
+        """
+        matrix.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "matrix", matrix)
+        object.__setattr__(state, "dims", dims)
+        return state
 
     @property
     def dim(self) -> int:
@@ -155,6 +169,17 @@ def _checked_dims(dims) -> tuple[int, ...]:
     ):
         raise DimensionMismatchError(f"dims must be (d,) or (d_a, d_b) of positive integers, got {given!r}")
     return tuple(map(int, dims))
+
+
+def _matched_dims(dims, size: int) -> tuple[int, ...]:
+    """``_checked_dims(dims)``, which must imply dimension ``size``; a
+    mismatch raises DimensionMismatchError."""
+    dims = _checked_dims(dims)
+    if math.prod(dims) != size:
+        raise DimensionMismatchError(
+            f"dims {dims} imply dimension {math.prod(dims)}, matrix has {size}"
+        )
+    return dims
 
 
 def _real_if_real(m: np.ndarray) -> np.ndarray:
@@ -226,15 +251,33 @@ class PureState:
         return self if amps is self.amplitudes else PureState(amps)
 
     def projector(self, dims=None) -> DensityMatrix:
-        dims = (self.dim,) if dims is None else dims
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), dims)
+        """|psi><psi| as a state of ``dims`` (default ``(dim,)``).
+
+        Valid by construction, so it is handed over unchecked: the outer
+        product of a ket is Hermitian entry by entry and positive
+        semidefinite of rank one, and its trace is the squared norm, which
+        ``__post_init__`` holds within 1e-12 of 1.  Only the caller's
+        ``dims`` are checked.
+        """
+        dims = (self.dim,) if dims is None else _matched_dims(dims, self.dim)
+        return DensityMatrix._adopt(np.outer(self.amplitudes, self.amplitudes.conj()), dims)
 
     def __repr__(self) -> str:
         return f"PureState(dim={self.dim})"
 
 
+def _real(x, name: str) -> float:
+    """``x`` as a float.  A bool, a string, a complex number or any other
+    value that is not a real number raises InvalidParameterError; numpy
+    reals are accepted."""
+    # float is named first because the ABC check alone costs ~0.6 µs
+    if isinstance(x, bool) or not isinstance(x, (float, numbers.Real)):
+        raise InvalidParameterError(f"{name}: expected a real number, got {x!r}")
+    return float(x)
+
+
 def _check_probabilities(weights, what: str = "probabilities") -> tuple[float, ...]:
-    ws = tuple(float(w) for w in weights)
+    ws = tuple(_real(w, what) for w in weights)
     # negated, so that NaN fails both tests
     for w in ws:
         if not w >= 0:
@@ -245,7 +288,7 @@ def _check_probabilities(weights, what: str = "probabilities") -> tuple[float, .
 
 
 def _check_fraction(p, name: str) -> float:
-    p = float(p)
+    p = _real(p, name)
     if not 0.0 <= p <= 1.0:
         raise InvalidParameterError(f"{name} must lie in [0, 1], got {p}")
     return p
@@ -305,26 +348,42 @@ def bell_kets() -> dict[str, PureState]:
 
 
 def bell_states() -> dict[str, DensityMatrix]:
-    """Projectors onto the four Bell states, keyed S, T1, T2, T3."""
-    return {name: DensityMatrix(p, (2, 2)) for name, p in zip(_BELL_KETS, _BELL_PROJECTORS)}
+    """Projectors onto the four Bell states, keyed S, T1, T2, T3.
+
+    Each is a fresh copy of an exact projector of a unit ket, so it is
+    valid by construction and handed over unchecked.
+    """
+    return {
+        name: DensityMatrix._adopt(p.copy(), (2, 2)) for name, p in zip(_BELL_KETS, _BELL_PROJECTORS)
+    }
 
 
 def bell_mixture(p_s, p_1, p_2, p_3) -> DensityMatrix:
-    """Mixture p_S |S><S| + p_1 |T1><T1| + p_2 |T2><T2| + p_3 |T3><T3|."""
+    """Mixture p_S |S><S| + p_1 |T1><T1| + p_2 |T2><T2| + p_3 |T3><T3|.
+
+    Valid by construction, so it is handed over unchecked: the weights
+    are checked to be at least 0 and to sum to 1 within 1e-12, and they
+    mix exact projectors of unit kets.
+    """
     weights = _check_probabilities((p_s, p_1, p_2, p_3), what="Bell weights")
     matrix = np.zeros((4, 4), dtype=complex)
     for w, projector in zip(weights, _BELL_PROJECTORS):
         matrix += w * projector
-    return DensityMatrix(matrix, (2, 2))
+    return DensityMatrix._adopt(matrix, (2, 2))
 
 
 def white_noise_mixture(spin: SpinQuantum, p_w) -> DensityMatrix:
-    """Singlet mixed with white noise: (1-p_W)|sing><sing| + p_W 1/N^2."""
+    """Singlet mixed with white noise: (1-p_W)|sing><sing| + p_W 1/N^2.
+
+    Valid by construction, so it is handed over unchecked: p_W is checked
+    to lie in [0, 1], and the weights 1 - p_W and p_W mix the exact
+    projector of the unit singlet ket with 1/N^2.
+    """
     p_w = _check_fraction(p_w, "p_w")
     n = spin.dim
     sing = _singlet_amplitudes(spin)
     matrix = (1 - p_w) * np.outer(sing, sing.conj()) + p_w * np.eye(n * n) / (n * n)
-    return DensityMatrix(matrix, (n, n))
+    return DensityMatrix._adopt(matrix, (n, n))
 
 
 def x_basis_kets() -> list[np.ndarray]:
@@ -350,12 +409,16 @@ def x_decoherence_mixture(p_d) -> DensityMatrix:
     Mixes the singlet with the three anticorrelated L_x product states
     |m_x; -m_x>, so the joint uncertainty of L_x(A) + L_x(B) stays zero for
     every p_D.  All four projectors are built once, at import.
+
+    Valid by construction, so it is handed over unchecked: p_D is checked
+    to lie in [0, 1], and the weights 1 - p_D and three times p_D / 3 mix
+    exact projectors of unit kets.
     """
     p_d = _check_fraction(p_d, "p_d")
     matrix = (1 - p_d) * _SPIN1_SINGLET_PROJECTOR
     for projector in _X_PRODUCT_PROJECTORS:
         matrix += (p_d / 3) * projector
-    return DensityMatrix(matrix, (3, 3))
+    return DensityMatrix._adopt(matrix, (3, 3))
 
 
 def family_components(kind: str, spin: SpinQuantum | None = None) -> tuple[PureState | None, ...]:
@@ -405,11 +468,17 @@ def min_uncertainty_state_n3(phi: float) -> PureState:
 
 
 def maximally_mixed(dims) -> DensityMatrix:
+    """1/D on ``dims``, D their product.
+
+    Valid by construction, so it is handed over unchecked: a real
+    diagonal of D copies of 1/D is Hermitian, positive and of unit trace
+    up to its rounding.  Only the caller's ``dims`` are checked.
+    """
     dims = _checked_dims(dims)
     total = math.prod(dims)
     # the numbers of eye / total, without a complex division or a second
     # D x D array
-    return DensityMatrix(np.diag(np.full(total, 1 / total, dtype=complex)), dims)
+    return DensityMatrix._adopt(np.diag(np.full(total, 1 / total, dtype=complex)), dims)
 
 
 # --- JSON state files ----------------------------------------------------

@@ -8,7 +8,7 @@ from lurcert.linalg import (
     NotHermitianError,
 )
 from lurcert.spin_ops import SpinQuantum, ladder_raising, spin_components
-from lurcert.states import singlet_state
+from lurcert.states import singlet_state, validate
 
 
 def test_multiply_pauli_halves():
@@ -74,7 +74,10 @@ def test_matrices_are_coerced_once_per_check(monkeypatch):
     monkeypatch.setattr(linalg, "as_square_matrix", counting)
     linalg.ensure_hermitian(np.eye(2))
     assert len(calls) == 1
-    singlet_state(SpinQuantum(1))
+    # a built state is handed over unchecked; validate checks it once
+    rho = singlet_state(SpinQuantum(1))
+    assert len(calls) == 1
+    validate(rho.matrix, rho.dims)
     assert len(calls) == 2
 
 

@@ -232,17 +232,19 @@ def test_import_time_projectors_are_read_only(projector):
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, checks",
     [
-        lambda: bell_mixture(0.1, 0.2, 0.3, 0.4),
-        lambda: white_noise_mixture(SpinQuantum(2), 0.3),
-        lambda: x_decoherence_mixture(0.3),
-        lambda: singlet_state(SpinQuantum(1)),
-        lambda: maximally_mixed((2, 3)),
-        lambda: validate(np.eye(4) / 4, (2, 2)),
+        (lambda: bell_mixture(0.1, 0.2, 0.3, 0.4), 0),
+        (lambda: white_noise_mixture(SpinQuantum(2), 0.3), 0),
+        (lambda: x_decoherence_mixture(0.3), 0),
+        (lambda: singlet_state(SpinQuantum(1)), 0),
+        (lambda: maximally_mixed((2, 3)), 0),
+        (lambda: validate(np.eye(4) / 4, (2, 2)), 1),
     ],
+    ids=["bell_mixture", "white_noise_mixture", "x_decoherence_mixture", "singlet_state",
+         "maximally_mixed", "validate"],
 )
-def test_each_built_state_is_validated_once(monkeypatch, build):
+def test_built_states_are_handed_over_and_validate_checks_once(monkeypatch, build, checks):
     original = DensityMatrix.__post_init__
     calls = []
 
@@ -252,7 +254,7 @@ def test_each_built_state_is_validated_once(monkeypatch, build):
 
     monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
     rho = build()
-    assert len(calls) == 1
+    assert len(calls) == checks
     assert not rho.matrix.flags.writeable
 
 

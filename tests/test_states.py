@@ -199,8 +199,11 @@ def random_real_states(count=20):
 
 def test_real_states_are_checked_in_real_arithmetic(monkeypatch):
     calls = record_solvers(monkeypatch)
+    # the family constructors check nothing, so their matrices go through
+    # validate as a caller's would
+    members = (validate(rho.matrix, rho.dims) for rho in real_family_members())
     randoms = (validate(m, (len(m),)) for m in random_real_states())
-    built = states_with_their_calls(itertools.chain(real_family_members(), randoms), calls)
+    built = states_with_their_calls(itertools.chain(members, randoms), calls)
     for rho, made in built:
         # accepted by one real factorization per validation, no eigensolve
         assert made and all(name == "cholesky" and dtype == np.float64 for name, dtype, _ in made)
@@ -217,7 +220,7 @@ def test_complex_states_keep_the_complex_solver(monkeypatch):
     builders = (
         lambda: random_mixed_state(6, rng),
         lambda: random_product_state(2, 3, rng),
-        lambda: min_uncertainty_state_n3(1.0).projector(),
+        lambda: validate(min_uncertainty_state_n3(1.0).projector().matrix, (3,)),
         lambda: validate(nearly_real, (3,)),
     )
     for rho, made in states_with_their_calls((build() for build in builders), calls):
