@@ -240,28 +240,27 @@ def cmd_family(args) -> int:
         if args.two_l is None:
             raise InvalidParameterError("family white needs --two-l to fix the level number")
         spin = SpinQuantum(args.two_l)
+    # Every member is a convex mixture of the same components, and its
+    # moments are that mixture of theirs, each from a ket or 1/D with no
+    # D x D matrix.  Built after the first row's weights are checked, so a
+    # bad grid value, a refused state and a relation for other dims are met
+    # in the order a member-by-member sweep met them.
+    family_weights(args.kind, _family_params(args.kind, spin, grid[0]))
+    components = family_components(args.kind, spin)
+    n = FIXED_TWO_L[args.kind] + 1 if spin is None else spin.dim
+    joint = joint_from_catalog(args.relation, n, n)
+    # row k: component k's <J_i>, then its <J_i^2>
+    moments = np.array(
+        [_mixed_moments(joint) if c is None else _ket_moments(c, joint) for c in components]
+    ).reshape(len(components), -1)
+    limit_s = _fmt(joint.local_limit)
+    # where a row's <J_i^2> start
+    split = len(joint.set_a)
     # the CSV's lines, written without a joined copy
     lines = ["parameter,total,local_limit,C,closed_form_C,abs_difference\n"]
-    joint = moments = None
     for value in grid:
         params = _family_params(args.kind, spin, value)
         weights = family_weights(args.kind, params)
-        if moments is None:
-            # Every member is a convex mixture of the same components, and
-            # its moments are that mixture of theirs, each from a ket or 1/D
-            # with no D x D matrix.  Built after the first row's weights are
-            # checked, so a bad grid value, a refused state and a relation for
-            # other dims are met in the order a member-by-member sweep met them.
-            components = family_components(args.kind, spin)
-            n = FIXED_TWO_L[args.kind] + 1 if spin is None else spin.dim
-            joint = joint_from_catalog(args.relation, n, n)
-            # row k: component k's <J_i>, then its <J_i^2>
-            moments = np.array(
-                [_mixed_moments(joint) if c is None else _ket_moments(c, joint) for c in components]
-            ).reshape(len(components), -1)
-            limit_s = _fmt(joint.local_limit)
-            # where a row's <J_i^2> start
-            split = len(joint.set_a)
         # one GEMV per row: a stacked product over the grid would be a GEMM,
         # which sums in another order and changes bits
         row = np.dot(weights, moments)

@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .linalg import DimensionMismatchError, InvalidParameterError
 from .spin_ops import OperatorSet, SpinQuantum
-from .states import DensityMatrix, PureState, _check_fraction, _check_probabilities
+from .states import DensityMatrix, PureState, family_weights
 from .uncertainty import UncertaintyRelation, catalog_bound, clip_variance, real_part
 
 # A state must undercut the local limit by this much before it is flagged;
@@ -114,8 +114,6 @@ def joint_from_relations(
 
 
 # CLI relation names -> catalog kind plus size derived from the side dimension.
-RELATION_KINDS = ("l3", "s3", "l2n2", "s2n2", "l2n3", "s2n3")
-
 _RELATION_TABLE = {
     "l3": ("spin3", None),
     "s3": ("stokes3", None),
@@ -124,6 +122,7 @@ _RELATION_TABLE = {
     "l2n3": ("spin2_N3", 3),
     "s2n3": ("stokes2_N3", 3),
 }
+RELATION_KINDS = tuple(_RELATION_TABLE)
 
 
 # A fixed size, so a caller that sweeps dims holds a bounded number of
@@ -311,27 +310,26 @@ def closed_form_violation(kind: str, relation: str, params: tuple) -> float | No
     ``white``, ``(p_d,)`` for ``xdecoherence`` and ``(p_s, p_1, p_2, p_3)``
     for ``bell``.
     """
+    # the family's own checks of its parameters and of the kind
+    weights = family_weights(kind, params)
     three = relation in ("l3", "s3")
     if kind == "white":
-        spin, p_w = params
-        p_w = _check_fraction(p_w, "p_w")
+        spin, p_w = params[0], weights[1]
         if three:
             return 1.0 - p_w * (spin.dim + 1) / 2.0
         if relation in ("l2n3", "s2n3") and spin.dim == 3:
             return 1.0 - 64.0 * p_w / 21.0
     elif kind == "xdecoherence":
-        (p_d,) = params
-        p_d = _check_fraction(p_d, "p_d")
+        # checked above; the weights hold it only divided by 3
+        p_d = float(params[0])
         if three:
             return 1.0 - 4.0 * p_d / 3.0
         if relation in ("l2n3", "s2n3"):
             return 1.0 - 32.0 * p_d / 21.0
-    elif kind == "bell":
-        p_s, _, _, p_3 = _check_probabilities(params, what="Bell weights")
+    else:
+        p_s, _, _, p_3 = weights
         if three:
             return 2 * p_s - 1
         if relation in ("l2n2", "s2n2"):
             return 2 * p_s - 1 - 2 * p_3
-    else:
-        raise InvalidParameterError(f"unknown family kind {kind!r}")
     return None

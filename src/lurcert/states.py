@@ -444,10 +444,12 @@ def family_weights(kind: str, params) -> tuple[float, ...]:
     the constructor arguments ``params`` (``(spin, p_w)``, ``(p_d,)`` or
     ``(p_s, p_1, p_2, p_3)``), checked as the constructor checks them."""
     if kind == "white":
-        p_w = _check_fraction(params[1], "p_w")
+        _, p_w = params
+        p_w = _check_fraction(p_w, "p_w")
         return 1 - p_w, p_w
     if kind == "xdecoherence":
-        p_d = _check_fraction(params[0], "p_d")
+        (p_d,) = params
+        p_d = _check_fraction(p_d, "p_d")
         return 1 - p_d, p_d / 3, p_d / 3, p_d / 3
     if kind == "bell":
         return _check_probabilities(params, what="Bell weights")

@@ -1,10 +1,10 @@
 """Variances, trace guards, and the catalog of certified lower bounds.
 
 The catalog entries are the analytic minima of the uncertainty sum over all
-states for the standard spin/Stokes sets: the three-component bounds l and
-2n, and the two-component bounds 1/4 and 1 for two-level systems, 7/16 and
-7/4 for three-level systems.  They are stored as exact rationals and
-rendered to floats at use.
+states for the standard spin sets: the three-component bound l, and the
+two-component bounds 1/4 for two-level and 7/16 for three-level systems.
+Each Stokes bound is 4x its spin twin's, since S_i = 2 L_i at l = n/2.
+They are stored as exact rationals and rendered to floats at use.
 """
 
 from __future__ import annotations
@@ -101,11 +101,12 @@ class UncertaintyRelation:
 
 CATALOG_KINDS = ("spin3", "stokes3", "spin2_N2", "stokes2_N2", "spin2_N3", "stokes2_N3")
 
+# The two-component spin limits, each with the one spin at which it exists.
+# A Stokes limit is 4x its spin twin's at l = n/2, since S_i = 2 L_i: 2n,
+# 1 and 7/4, exact in binary.
 _TWO_COMPONENT_BOUNDS = {
-    "spin2_N2": Fraction(1, 4),
-    "stokes2_N2": Fraction(1, 1),
-    "spin2_N3": Fraction(7, 16),
-    "stokes2_N3": Fraction(7, 4),
+    "spin2_N2": (SpinQuantum(1), Fraction(1, 4)),
+    "spin2_N3": (SpinQuantum(2), Fraction(7, 16)),
 }
 
 
@@ -118,28 +119,24 @@ def catalog_bound(kind: str, size) -> UncertaintyRelation:
     """
     if kind not in CATALOG_KINDS:
         raise InvalidParameterError(f"unknown catalog kind {kind!r}; valid: {CATALOG_KINDS}")
-
-    if kind.startswith("spin"):
-        if not isinstance(size, SpinQuantum):
-            raise InvalidParameterError(f"kind {kind!r} takes a SpinQuantum size, got {size!r}")
-        spin = size
-        if kind == "spin3":
-            return UncertaintyRelation(spin_components(spin), float(Fraction(spin.two_l, 2)), ANALYTIC)
-        required = SpinQuantum(1) if kind == "spin2_N2" else SpinQuantum(2)
+    twin = kind.replace("stokes", "spin")
+    if kind == twin and not isinstance(size, SpinQuantum):
+        raise InvalidParameterError(f"kind {kind!r} takes a SpinQuantum size, got {size!r}")
+    spin = size if kind == twin else SpinQuantum(_photon_number(size))
+    if twin == "spin3":
+        limit = Fraction(spin.two_l, 2)
+    else:
+        required, limit = _TWO_COMPONENT_BOUNDS[twin]
         if spin != required:
-            raise InvalidParameterError(
-                f"kind {kind!r} requires l={required}, got l={spin}"
+            sizes = (
+                f"l={required}, got l={spin}"
+                if kind == twin
+                else f"n={required.two_l}, got n={spin.two_l}"
             )
-        return UncertaintyRelation(
-            spin_subset(spin, "xy"), float(_TWO_COMPONENT_BOUNDS[kind]), ANALYTIC
-        )
-
-    n = _photon_number(size)
-    if kind == "stokes3":
-        return UncertaintyRelation(stokes_components(n), float(2 * n), ANALYTIC)
-    required_n = 1 if kind == "stokes2_N2" else 2
-    if n != required_n:
-        raise InvalidParameterError(f"kind {kind!r} requires n={required_n}, got n={n}")
-    return UncertaintyRelation(
-        stokes_subset(n, "12"), float(_TWO_COMPONENT_BOUNDS[kind]), ANALYTIC
-    )
+            raise InvalidParameterError(f"kind {kind!r} requires {sizes}")
+    if kind == twin:
+        ops = spin_components(spin) if kind == "spin3" else spin_subset(spin, "xy")
+        return UncertaintyRelation(ops, float(limit), ANALYTIC)
+    n = spin.two_l
+    ops = stokes_components(n) if kind == "stokes3" else stokes_subset(n, "12")
+    return UncertaintyRelation(ops, float(4 * limit), ANALYTIC)

@@ -154,6 +154,37 @@ def test_closed_form_table_blanks_and_checks():
             closed_form_violation(kind, "l3", params)
 
 
+
+# parameters that family_weights refuses, each in the slot it checks
+REFUSED_FAMILY_PARAMS = [
+    *(
+        (kind, params)
+        for bad in (True, "0.5", 0.5j, None, 1.5, -0.25)
+        for kind, params in (
+            ("white", (SpinQuantum(2), bad)),
+            ("xdecoherence", (bad,)),
+            ("bell", (bad, 0.5, 0.5, 0.0)),
+        )
+    ),
+    ("thermal", (0.5,)),
+    # a wrong number of parameters ends in Python's own unpacking error
+    ("white", (SpinQuantum(2),)),
+    ("white", (SpinQuantum(2), 0.5, 0.5)),
+    ("xdecoherence", (0.5, 0.5)),
+]
+
+
+@pytest.mark.parametrize("kind, params", REFUSED_FAMILY_PARAMS)
+def test_closed_forms_refuse_as_family_weights_does(kind, params):
+    # LurcertError is a ValueError
+    with pytest.raises(ValueError) as want:
+        states.family_weights(kind, params)
+    for relation in RELATION_KINDS:
+        with pytest.raises(ValueError) as got:
+            closed_form_violation(kind, relation, params)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
 def test_bell_mixture_analysis_examples():
     assert closed_form_violation("bell", "s3", (0.9, 0.1, 0, 0)) == pytest.approx(0.8, abs=1e-12)
     c_s3 = closed_form_violation("bell", "s3", (0.9, 0, 0, 0.1))

@@ -191,3 +191,23 @@ def test_guards_scale_with_the_traces():
     assert clip_variance(-1e-6, 1e7) == 0.0
     with pytest.raises(LurcertError, match="negative beyond tolerance"):
         clip_variance(-1e-6, 1e5)
+
+
+# every size a Stokes kind accepts, with its spin twin: S_i = 2 L_i at l = n/2
+STOKES_TWINS = [
+    *(("stokes3", "spin3", n) for n in range(64)),
+    ("stokes2_N2", "spin2_N2", 1),
+    ("stokes2_N3", "spin2_N3", 2),
+]
+
+
+@pytest.mark.parametrize("stokes, spin, n", STOKES_TWINS)
+def test_a_stokes_entry_is_its_spin_twin_scaled(stokes, spin, n):
+    s_rel = catalog_bound(stokes, n)
+    l_rel = catalog_bound(spin, SpinQuantum(n))
+    # bit for bit: doubling and the power-of-two scale of the limit round nothing
+    assert s_rel.bound == 4 * l_rel.bound
+    assert len(s_rel.operator_set) == len(l_rel.operator_set)
+    for s_op, l_op in zip(s_rel.operator_set, l_rel.operator_set):
+        assert np.array_equal(s_op, 2 * l_op)
+        assert s_op.tobytes() == (2 * l_op).tobytes()
