@@ -23,7 +23,6 @@ from .linalg import (
     BoundFileError,
     InvalidParameterError,
     LurcertError,
-    ensure_hermitian,
     tolerance_from_env,
 )
 from .lur import (
@@ -116,49 +115,36 @@ def _parse_grid(spec: str) -> list[float]:
     return [v for v in values if v <= stop]
 
 
-def _operators_from_doc(doc: dict, what: str) -> tuple[np.ndarray, ...]:
-    """The "operators" of a bound or operator file: a non-empty list of
-    square [re, im] matrices of one size, each Hermitian."""
+def _operator_set_from_doc(doc: dict, what: str, label: str | None = None) -> OperatorSet:
+    """The one reader of a bound-file side and an operator file: its
+    "operators", a non-empty list of square [re, im] matrices of one size,
+    as an OperatorSet, which checks each for Hermiticity, named by its
+    "label" (else ``label``); a "dim" must be the operators' size."""
     ops = doc["operators"]
     if not isinstance(ops, list) or not ops or not isinstance(ops[0], list) or not ops[0]:
         raise InvalidParameterError(f'{what} "operators" must be a non-empty list of square matrices')
     size = len(ops[0])
-    return tuple(
-        ensure_hermitian(
-            matrix_from_rows(rows, size, f"{what} operator {k}", InvalidParameterError),
-            what=f"{what} operator {k}",
-        )
+    matrices = (
+        matrix_from_rows(rows, size, f"{what} operator {k}", InvalidParameterError)
         for k, rows in enumerate(ops)
     )
+    op_set = OperatorSet(str(doc.get("label", label)), tuple(matrices))
+    dim = doc.get("dim", size)
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim != size:
+        raise InvalidParameterError(f"{what} dim {dim!r} does not match its {size}-level operators")
+    return op_set
 
 
 def _load_relation_side(doc, what: str) -> UncertaintyRelation:
     """Schema-checked bound-file side; keys other than the five read here
-    (such as the ``search`` or ``interval`` record) are ignored."""
+    (such as the ``search`` or ``interval`` record) are ignored.  The
+    relation checks the bound and the provenance label."""
     if not isinstance(doc, dict):
         raise InvalidParameterError(f"{what} must be a JSON object")
     for key in ("label", "bound", "provenance", "operators"):
         if key not in doc:
             raise InvalidParameterError(f"{what} is missing key {key!r}")
-    ops = _operators_from_doc(doc, what)
-    size = ops[0].shape[0]
-    dim = doc.get("dim", size)
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim != size:
-        raise InvalidParameterError(f"{what} dim {dim!r} does not match its {size}-level operators")
-    bound = doc["bound"]
-    if isinstance(bound, bool) or not isinstance(bound, (int, float)) or not _is_finite(bound):
-        raise InvalidParameterError(f"{what} bound must be a finite number, got {bound!r}")
-    # the relation itself checks bound >= 0 and the provenance label
-    return UncertaintyRelation(
-        OperatorSet(label=str(doc["label"]), operators=ops), float(bound), doc["provenance"]
-    )
-
-
-def _is_finite(x: int | float) -> bool:
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # a JSON integer beyond the float range
-        return False
+    return UncertaintyRelation(_operator_set_from_doc(doc, what), doc["bound"], doc["provenance"])
 
 
 def _matrix_to_rows(m: np.ndarray) -> list:
@@ -175,24 +161,18 @@ def _resolve_joint(relation: str, rho: DensityMatrix) -> JointOperatorSet:
             f"relation {relation!r} is neither a catalog kind {RELATION_KINDS} nor a bound file"
         )
     doc = parse_json(read_utf8(path))
+    sides = ("side_a", "side_b")
     try:
-        return _joint_from_bound_doc(doc, label=str(path))
+        if not isinstance(doc, dict) or not doc.keys() & set(sides):
+            rel_a = rel_b = _load_relation_side(doc, "bound file")
+        elif not doc.keys() >= set(sides):
+            raise InvalidParameterError("asymmetric bound file needs both side_a and side_b")
+        else:
+            rel_a, rel_b = (_load_relation_side(doc[side], side) for side in sides)
+        return joint_from_relations(rel_a, rel_b, label=str(path))
     except InvalidParameterError as exc:
         # any schema or value fault here is the file's
         raise BoundFileError(str(exc)) from exc
-
-
-def _joint_from_bound_doc(doc, label: str) -> JointOperatorSet:
-    if not isinstance(doc, dict):
-        raise InvalidParameterError("bound file must be a JSON object")
-    if "side_a" in doc or "side_b" in doc:
-        if not ("side_a" in doc and "side_b" in doc):
-            raise InvalidParameterError("asymmetric bound file needs both side_a and side_b")
-        rel_a = _load_relation_side(doc["side_a"], "side_a")
-        rel_b = _load_relation_side(doc["side_b"], "side_b")
-    else:
-        rel_a = rel_b = _load_relation_side(doc, "bound file")
-    return joint_from_relations(rel_a, rel_b, label=label)
 
 
 def cmd_certify(args) -> int:
@@ -297,9 +277,7 @@ def _parse_operator_spec(spec: str, two_l: int | None) -> tuple[OperatorSet, flo
     doc = parse_json(read_utf8(path))
     if not isinstance(doc, dict) or "operators" not in doc:
         raise InvalidParameterError('operator file must be an object with an "operators" key')
-    return OperatorSet(
-        label=str(doc.get("label", path.name)), operators=_operators_from_doc(doc, "operator file")
-    ), None
+    return _operator_set_from_doc(doc, "operator file", path.name), None
 
 
 def cmd_search_bound(args) -> int:

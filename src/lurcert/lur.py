@@ -19,7 +19,7 @@ from . import __version__
 from .linalg import DimensionMismatchError, InvalidParameterError
 from .spin_ops import OperatorSet, SpinQuantum
 from .states import DensityMatrix, PureState, family_weights
-from .uncertainty import UncertaintyRelation, catalog_bound, clip_variance, real_part
+from .uncertainty import UncertaintyRelation, _checked_bound, catalog_bound, clip_variance, real_part
 
 # A state must undercut the local limit by this much before it is flagged;
 # false positives are the fatal error mode for a witness.
@@ -28,13 +28,24 @@ VERDICT_MARGIN = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class JointOperatorSet:
-    """Joint properties A_i + B_i with the local limit U_A + U_B."""
+    """Joint properties A_i + B_i of two sets of one cardinality, on systems
+    of any dimensions, with the local limit U_A + U_B: a float that
+    ``_checked_bound`` admits, and positive to define a violation."""
 
     set_a: OperatorSet
     set_b: OperatorSet
     local_limit: float
     bound_provenance: tuple[str, str]
     label: str
+
+    def __post_init__(self):
+        if len(self.set_a) != len(self.set_b):
+            raise DimensionMismatchError(
+                f"operator sets have different cardinality: {len(self.set_a)} vs {len(self.set_b)}"
+            )
+        if not (limit := _checked_bound(self.local_limit, "local limit")) > 0:
+            raise InvalidParameterError("local limit must be positive to define a violation")
+        object.__setattr__(self, "local_limit", limit)
 
     @property
     def dim_a(self) -> int:
@@ -76,28 +87,11 @@ def build_joint(
     provenance: tuple[str, str] = ("unspecified", "unspecified"),
     label: str | None = None,
 ) -> JointOperatorSet:
-    """Combine two local operator sets into the joint set A_i + B_i.
-
-    The sets may act on systems of different dimension, but must have equal
-    cardinality.  The local limit is the sum of the two certified bounds
-    and must be positive for the relative violation to be meaningful.
-    """
-    if len(set_a) != len(set_b):
-        raise DimensionMismatchError(
-            f"operator sets have different cardinality: {len(set_a)} vs {len(set_b)}"
-        )
-    if u_a < 0 or u_b < 0:
-        raise InvalidParameterError("local bounds must be nonnegative")
-    local_limit = float(u_a) + float(u_b)
-    if not local_limit > 0:
-        raise InvalidParameterError("local limit must be positive to define a violation")
-    return JointOperatorSet(
-        set_a=set_a,
-        set_b=set_b,
-        local_limit=local_limit,
-        bound_provenance=tuple(provenance),
-        label=label or f"{set_a.label}+{set_b.label}",
-    )
+    """Combine two local operator sets into the joint set A_i + B_i, with
+    the sum of the two certified bounds as its local limit."""
+    u_a, u_b = (_checked_bound(u, "local bounds") for u in (u_a, u_b))
+    label = label or f"{set_a.label}+{set_b.label}"
+    return JointOperatorSet(set_a, set_b, u_a + u_b, tuple(provenance), label)
 
 
 def joint_from_relations(

@@ -193,9 +193,17 @@ def validate(matrix, dims, tolerance: float | None = None) -> DensityMatrix:
     return DensityMatrix(matrix, dims, tolerance)
 
 
+def _amplitudes(vector) -> np.ndarray:
+    """``vector`` as a flat complex array of finite amplitudes."""
+    amps = np.asarray(vector, dtype=complex).reshape(-1)
+    if not np.all(np.isfinite(amps)):
+        raise InvalidParameterError("state vector amplitudes must be finite")
+    return amps
+
+
 def _unit(vector) -> np.ndarray:
-    """``vector`` as a flat complex array divided by its norm."""
-    v = np.asarray(vector, dtype=complex).reshape(-1)
+    """``vector`` as a flat array of finite amplitudes divided by its norm."""
+    v = _amplitudes(vector)
     norm = np.linalg.norm(v)
     if norm == 0:
         raise InvalidParameterError("cannot normalize the zero vector")
@@ -219,11 +227,9 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        amps = _amplitudes(self.amplitudes)
         if amps.size < 1:
             raise InvalidParameterError("state vector must have at least one amplitude")
-        if not np.all(np.isfinite(amps)):
-            raise InvalidParameterError("state vector amplitudes must be finite")
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > _NORM_TOL:
             raise InvalidParameterError(f"state vector norm is {norm:.17g}, expected 1")
@@ -267,13 +273,16 @@ class PureState:
 
 
 def _real(x, name: str) -> float:
-    """``x`` as a float.  A bool, a string, a complex number or any other
-    value that is not a real number raises InvalidParameterError; numpy
-    reals are accepted."""
+    """``x`` as a float.  A bool, a string, a complex number, any other
+    value that is not a real number and an integer beyond the float range
+    raise InvalidParameterError; numpy reals are accepted."""
     # float is named first because the ABC check alone costs ~0.6 µs
     if isinstance(x, bool) or not isinstance(x, (float, numbers.Real)):
         raise InvalidParameterError(f"{name}: expected a real number, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:  # unnamed: repr(x) may pass the digit limit
+        raise InvalidParameterError(f"{name}: an integer beyond the float range") from None
 
 
 def _check_probabilities(weights, what: str = "probabilities") -> tuple[float, ...]:
@@ -443,17 +452,20 @@ def family_weights(kind: str, params) -> tuple[float, ...]:
     """The weights of ``family_components(kind)`` in the member built from
     the constructor arguments ``params`` (``(spin, p_w)``, ``(p_d,)`` or
     ``(p_s, p_1, p_2, p_3)``), checked as the constructor checks them."""
+    count = {"white": 2, "xdecoherence": 1, "bell": 4}.get(kind)
+    if count is None:
+        raise InvalidParameterError(f"unknown family kind {kind!r}")
+    if len(params) != count:
+        raise InvalidParameterError(
+            f"family {kind!r} takes {count} parameter{'s' * (count > 1)}, got {len(params)}"
+        )
     if kind == "white":
-        _, p_w = params
-        p_w = _check_fraction(p_w, "p_w")
+        p_w = _check_fraction(params[1], "p_w")
         return 1 - p_w, p_w
     if kind == "xdecoherence":
-        (p_d,) = params
-        p_d = _check_fraction(p_d, "p_d")
+        p_d = _check_fraction(params[0], "p_d")
         return 1 - p_d, p_d / 3, p_d / 3, p_d / 3
-    if kind == "bell":
-        return _check_probabilities(params, what="Bell weights")
-    raise InvalidParameterError(f"unknown family kind {kind!r}")
+    return _check_probabilities(params, what="Bell weights")
 
 
 def min_uncertainty_state_n3(phi: float) -> PureState:

@@ -9,6 +9,7 @@ They are stored as exact rationals and rendered to floats at use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from .spin_ops import (
     stokes_components,
     stokes_subset,
 )
-from .states import DensityMatrix, NotPositiveError
+from .states import DensityMatrix, NotPositiveError, _real
 
 # Traces of Hermitian products are real; larger imaginary parts mean the
 # inputs are corrupted, not rounding noise.  Both limits are for operators
@@ -83,10 +84,23 @@ def variance(rho: DensityMatrix, a: np.ndarray) -> float:
     return clip_variance(second - mean * mean)
 
 
+def _checked_bound(value, what: str) -> float:
+    """``value`` as a float, by the one rule for an uncertainty bound and a
+    local limit: a finite real number >= 0, so no bool, string, NaN,
+    infinity or integer beyond the float range.  Raises
+    InvalidParameterError naming ``what``."""
+    bound = _real(value, what)
+    if not 0 <= bound < math.inf:
+        raise InvalidParameterError(
+            f"{what} must be nonnegative" if bound < 0 else f"{what} must be finite, got {bound}"
+        )
+    return bound
+
+
 @dataclass(frozen=True, eq=False)
 class UncertaintyRelation:
     """Operator set together with a certified lower bound on its
-    uncertainty sum."""
+    uncertainty sum, checked by ``_checked_bound`` and stored as a float."""
 
     operator_set: OperatorSet
     bound: float
@@ -95,8 +109,8 @@ class UncertaintyRelation:
     def __post_init__(self):
         if self.provenance not in (ANALYTIC, NUMERICALLY_CERTIFIED, INTERVAL):
             raise InvalidParameterError(f"unknown provenance {self.provenance!r}")
-        if self.bound < 0:
-            raise InvalidParameterError(f"bound must be nonnegative, got {self.bound}")
+        bound = _checked_bound(self.bound, f"bound of {self.operator_set.label}")
+        object.__setattr__(self, "bound", bound)
 
 
 CATALOG_KINDS = ("spin3", "stokes3", "spin2_N2", "stokes2_N2", "spin2_N3", "stokes2_N3")

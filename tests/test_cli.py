@@ -922,3 +922,29 @@ def test_sub_command_arguments_skip_the_top_level_parser(tmp_path, monkeypatch, 
     monkeypatch.setattr(parser, "commands", {})
     assert [outcome(argv) for argv in cases] == direct
     assert {code for code, _, _ in direct} == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("dim", [7, 2, True, "3"])
+def test_an_operator_file_dim_must_match_its_operators(dim, tmp_path, capsys):
+    doc = json.loads(Path(SPIN1_XY_FILE).read_text())
+    ops_path = tmp_path / "ops.json"
+    ops_path.write_text(json.dumps({**doc, "dim": dim}))
+    assert run("search-bound", "--set", str(ops_path), "--restarts", "2") == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error[" in line]
+    assert len(errors) == 1 and errors[0].startswith("error[invalid-parameter]:"), captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_each_bound_file_operator_is_checked_for_hermiticity_once(monkeypatch):
+    calls = []
+
+    def counting(a):
+        calls.append(a.shape)
+        return original(a)
+
+    original = lurcert.linalg.hermiticity_deviation
+    monkeypatch.setattr(lurcert.linalg, "hermiticity_deviation", counting)
+    relation = cli._load_relation_side(GOOD_SIDE, "bound file")
+    assert len(relation.operator_set) == 2
+    assert calls == [(2, 2), (2, 2)]

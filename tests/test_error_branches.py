@@ -5,13 +5,14 @@ traceback; the library cases raise the named class with the named message.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from lurcert import cli
 from lurcert.linalg import DimensionMismatchError, InvalidParameterError
-from lurcert.lur import build_joint
+from lurcert.lur import JointOperatorSet, build_joint
 from lurcert.spin_ops import OperatorSet, SpinQuantum, spin_components, spin_subset
 from lurcert.states import (
     PureState,
@@ -20,6 +21,7 @@ from lurcert.states import (
     family_weights,
     matrix_from_rows,
 )
+from lurcert.uncertainty import UncertaintyRelation
 
 FAMILY = ["family", "--kind", "bell", "--relation", "s3", "--out", "x.csv", "--grid"]
 STATE_GEN = ["state-gen", "--out", "x.json", "--kind"]
@@ -178,3 +180,86 @@ def test_numpy_float_leaves_take_the_per_cell_path():
     built = matrix_from_rows(leaves, 2, "m", StateFormatError)
     assert built.dtype == complex
     assert built.tobytes() == matrix_from_rows(rows, 2, "m", StateFormatError).tobytes()
+
+
+# a bound or a local limit is a finite real number >= 0: no bool, string,
+# NaN, infinity, integer beyond the float range or negative number
+REFUSED_BOUNDS = {
+    "inf": float("inf"),
+    "-inf": float("-inf"),
+    "nan": float("nan"),
+    "bool": True,
+    "string": "0.5",
+    "huge-int": 10**400,
+    "negative": -0.25,
+}
+SPIN_HALF = spin_components(SpinQuantum(1))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda b: UncertaintyRelation(SPIN_HALF, b, "analytic"), id="relation"),
+        pytest.param(lambda b: build_joint(SPIN_HALF, b, SPIN_HALF, 0.5), id="build-joint-a"),
+        pytest.param(lambda b: build_joint(SPIN_HALF, 0.5, SPIN_HALF, b), id="build-joint-b"),
+        pytest.param(
+            lambda b: JointOperatorSet(SPIN_HALF, SPIN_HALF, b, ("analytic", "analytic"), "j"),
+            id="joint-operator-set",
+        ),
+    ],
+)
+@pytest.mark.parametrize("bound", REFUSED_BOUNDS.values(), ids=REFUSED_BOUNDS)
+def test_every_relation_and_joint_refuses_a_bound_that_is_not_finite_and_nonnegative(make, bound):
+    with pytest.raises(InvalidParameterError):
+        make(bound)
+
+
+def test_an_infinite_bound_cannot_make_the_maximally_mixed_state_entangled():
+    # the sum of the two bounds would be an infinite limit, against which
+    # 1/4 reads C = 1
+    with pytest.raises(InvalidParameterError) as exc:
+        build_joint(SPIN_HALF, float("inf"), SPIN_HALF, 0.5)
+    assert str(exc.value) == "local bounds must be finite, got inf"
+
+
+def test_a_joint_operator_set_checks_what_build_joint_checks():
+    xy = spin_subset(SpinQuantum(1), "xy")
+    with pytest.raises(DimensionMismatchError):
+        JointOperatorSet(xy, SPIN_HALF, 1.0, ("analytic", "analytic"), "j")
+    with pytest.raises(InvalidParameterError) as exc:
+        JointOperatorSet(SPIN_HALF, SPIN_HALF, 0.0, ("analytic", "analytic"), "j")
+    assert str(exc.value) == "local limit must be positive to define a violation"
+    # two finite bounds whose sum overflows
+    with pytest.raises(InvalidParameterError):
+        build_joint(SPIN_HALF, 1e308, SPIN_HALF, 1e308)
+    # the limit is stored as a float
+    joint = JointOperatorSet(SPIN_HALF, SPIN_HALF, np.float64(1), ("analytic", "analytic"), "j")
+    assert type(joint.local_limit) is float and joint.local_limit == 1.0
+
+
+@pytest.mark.parametrize(
+    "kind, params, count",
+    [
+        ("white", (SpinQuantum(2),), 2),
+        ("white", (SpinQuantum(2), 0.5, 0.5), 2),
+        ("xdecoherence", (), 1),
+        ("xdecoherence", (0.5, 0.5), 1),
+        ("bell", (0.5, 0.5, 0.0), 4),
+        ("bell", (0.5, 0.5, 0.0, 0.0, 0.0), 4),
+    ],
+)
+def test_family_weights_refuses_a_wrong_parameter_count(kind, params, count):
+    with pytest.raises(InvalidParameterError) as exc:
+        family_weights(kind, params)
+    plural = "s" if count > 1 else ""
+    assert str(exc.value) == f"family {kind!r} takes {count} parameter{plural}, got {len(params)}"
+
+
+@pytest.mark.parametrize("vector", [[np.nan, 1.0], [1.0, np.inf], [-np.inf, 0.0]], ids=repr)
+@pytest.mark.parametrize("build", [PureState.normalized, PureState.canonical], ids=lambda f: f.__name__)
+def test_a_non_finite_ket_is_refused_before_any_warning(build, vector):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError) as exc:
+            build(vector)
+    assert str(exc.value) == "state vector amplitudes must be finite"

@@ -167,7 +167,7 @@ REFUSED_FAMILY_PARAMS = [
         )
     ),
     ("thermal", (0.5,)),
-    # a wrong number of parameters ends in Python's own unpacking error
+    # a wrong number of parameters, refused by the count check of every kind
     ("white", (SpinQuantum(2),)),
     ("white", (SpinQuantum(2), 0.5, 0.5)),
     ("xdecoherence", (0.5, 0.5)),

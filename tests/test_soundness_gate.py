@@ -39,10 +39,28 @@ and under ``LURCERT_VALIDATION_TOL=1e-3``, on the l3 and s3 limits:
 
 Each breaks its invariant for the same reason as above, so each is again a
 strict xfail.
+
+Two classes certify against bound files, each through the in-process
+``cli.main``:
+
+- the descent file of two random Hermitian 3 x 3 operators, whose
+  2-restart bound lies above the true minimum, so the product of two
+  minimizers breaks (a): a strict xfail of ROADMAP item 3;
+- the interval files of spin:xy at 2l = 1, 2 and stokes:12 at n = 2 with
+  every operator times a power of two s and the bound times s^2, still
+  proven bounds, against the argmin product, unperturbed and with the
+  white noise above.  Wherever ``certify`` returns, C is the same at
+  every s, which passes; but
+- (d) neither the verdict nor a refusal depends on s
+  fails, because the fixed margin and floor do not scale with the
+  operators: a strict xfail of ROADMAP item 2.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,10 +68,10 @@ import numpy as np
 import pytest
 
 from lurcert import cli
-from lurcert.bound_search import interval_minimum
+from lurcert.bound_search import SearchConfig, interval_minimum, minimize_sum_uncertainty
 from lurcert.linalg import DEFAULT_TOLERANCE, ENV_TOLERANCE_VAR, LurcertError, tolerance_from_env
 from lurcert.lur import certify, joint_from_catalog
-from lurcert.spin_ops import SpinQuantum, spin_components, spin_subset, stokes_subset
+from lurcert.spin_ops import OperatorSet, SpinQuantum, spin_components, spin_subset, stokes_subset
 from lurcert.states import read_state, validate, write_state
 
 CASES_PER_TWO_L = 20
@@ -355,3 +373,124 @@ def test_a_state_with_an_anti_hermitian_part_that_was_read_is_never_refused(
     if cli_exit(case, "l3", monkeypatch, capsys) == cli.EXIT_VALIDATION:
         refused.append((None, case.name, "cli l3", "exit 2"))
     assert not refused, f"{len(refused)} refusals of states that read_state accepted, first {refused[:4]}"
+
+
+def run_cli(argv: list) -> tuple[int, str]:
+    """``cli.main`` on ``argv`` with its output kept from the test log; the
+    exit code and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([str(arg) for arg in argv])
+    return code, err.getvalue()
+
+
+def certified(state: Path, bound_file: Path) -> tuple[str, float | None]:
+    """The result of ``certify --json`` of ``state`` against ``bound_file``
+    ("entangled", "no violation" or the error code) and its C."""
+    cert = state.with_suffix(".cert.json")
+    code, err = run_cli(["certify", "--state", state, "--relation", bound_file, "--json", cert])
+    if code == cli.EXIT_VALIDATION:
+        return err[len("error["):err.index("]")], None
+    violation = json.loads(cert.read_text())["relative_violation"]
+    return ("entangled" if code == cli.EXIT_ENTANGLED else "no violation"), violation
+
+
+def operator_rows(ops) -> list:
+    return [np.stack([a.real, a.imag], -1).tolist() for a in ops]
+
+
+def product_file(ket: np.ndarray, delta: float, path: Path) -> Path:
+    """``noisy(ket (x) ket, delta)`` written with ``write_state``."""
+    side = ket.size
+    write_state(validate(noisy(np.kron(ket, ket), delta), (side, side)), path)
+    return path
+
+
+class TestDescentFile:
+    """The 2-restart descent file of the two random Hermitian 3 x 3
+    operators of ``test_a_search_bound_is_never_above_the_minimum``
+    (``default_rng(1)``), against the product of the argmin of 64
+    restarts, which sits above the true limit."""
+
+    @pytest.fixture(scope="class")
+    def descent(self, tmp_path_factory):
+        workdir = tmp_path_factory.mktemp("descent")
+        rng = np.random.default_rng(1)
+        ops = []
+        for _ in range(2):
+            g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            ops.append((g + g.conj().T) / 2)
+        ops_file, bound_file = workdir / "ops.json", workdir / "bound.json"
+        ops_file.write_text(json.dumps({"label": "random", "operators": operator_rows(ops)}))
+        code, _ = run_cli(["search-bound", "--set", ops_file, "--restarts", 2, "--seed", 4,
+                           "--emit-bound", bound_file])
+        assert code == cli.EXIT_OK
+        many = minimize_sum_uncertainty(OperatorSet("random", tuple(ops)), SearchConfig(64, 4))
+        state = product_file(many.argmin.amplitudes, 0.0, workdir / "product.json")
+        return json.loads(bound_file.read_text())["bound"], many.minimum, certified(state, bound_file)
+
+    def test_the_file_bound_is_above_the_minimum(self, descent):
+        bound, minimum, _ = descent
+        assert abs(bound - 0.44083725188212) < 1e-12
+        assert abs(minimum - 0.2852721823682) < 1e-12
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 3: a descent file records the lowest value found, not a lower bound",
+    )
+    def test_the_argmin_product_is_not_called_entangled(self, descent):
+        _, _, (result, violation) = descent
+        assert result != "entangled", f"the product of two minimizers is ENTANGLED at C = {violation}"
+
+
+# operator scales, powers of two, so that s A and s^2 U are exact
+SCALES = (2.0**-7, 2.0**-3, 1.0, 2.0**7, 2.0**14)
+INTERVAL_FILES = (("spin:xy", 1), ("spin:xy", 2), ("stokes:12", 2))
+
+
+class TestScaledIntervalFiles:
+    """The ``--emit-bound`` files of ``INTERVAL_FILES`` with every operator
+    times s and the bound times s^2, each still a proven bound, against
+    the argmin product, unperturbed and at the floor perturbation."""
+
+    @pytest.fixture(scope="class")
+    def scaled(self, tmp_path_factory):
+        workdir = tmp_path_factory.mktemp("scaled")
+        outcomes = {}
+        for spec, two_l in INTERVAL_FILES:
+            emitted = workdir / "emitted.json"
+            code, _ = run_cli(["search-bound", "--set", spec, "--two-l", two_l, "--emit-bound", emitted])
+            assert code == cli.EXIT_OK
+            doc = json.loads(emitted.read_text())
+            ket = argmin_ket(spec, two_l)
+            for delta in (0.0, 0.99 * ket.size**2 * DEFAULT_TOLERANCE):
+                state = product_file(ket, delta, workdir / f"{spec}-{two_l}-{delta:g}.json")
+                for s in SCALES:
+                    bound_file = workdir / f"{spec}-{two_l}-{s:g}.json"
+                    scaled_ops = [(np.array(rows) * s).tolist() for rows in doc["operators"]]
+                    bound_file.write_text(json.dumps({**doc, "bound": doc["bound"] * s * s, "operators": scaled_ops}))
+                    outcomes[spec, two_l, delta, s] = certified(state, bound_file)
+        return outcomes
+
+    def test_the_violation_does_not_depend_on_the_scale(self, scaled):
+        # the unperturbed products certify at every scale
+        assert all(v is not None for (_, _, delta, _), (_, v) in scaled.items() if delta == 0)
+        violations = {}
+        for (spec, two_l, delta, _), (_, violation) in scaled.items():
+            if violation is not None:
+                violations.setdefault((spec, two_l, delta), set()).add(violation)
+        assert len(violations) == 2 * len(INTERVAL_FILES)
+        assert all(len(found) == 1 for found in violations.values()), violations
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 2: the fixed VERDICT_MARGIN and variance floor ignore the scale of the operators",
+    )
+    def test_neither_the_verdict_nor_a_refusal_depends_on_the_scale(self, scaled):
+        results = {}
+        for (spec, two_l, delta, s), (result, _) in scaled.items():
+            results.setdefault((spec, two_l, delta), {})[s] = result
+        apart = {key: found for key, found in results.items() if len(set(found.values())) > 1}
+        assert not apart, f"{len(apart)} files whose outcome depends on the scale: {apart}"
