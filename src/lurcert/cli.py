@@ -160,7 +160,9 @@ def _resolve_joint(relation: str, rho: DensityMatrix) -> JointOperatorSet:
         raise InvalidParameterError(
             f"relation {relation!r} is neither a catalog kind {RELATION_KINDS} nor a bound file"
         )
-    doc = parse_json(read_utf8(path))
+    doc = parse_json(
+        read_utf8(path, "bound file is not UTF-8 text: "), "bound file is not valid JSON: "
+    )
     sides = ("side_a", "side_b")
     try:
         if not isinstance(doc, dict) or not doc.keys() & set(sides):
@@ -182,13 +184,15 @@ def cmd_certify(args) -> int:
             f"certification needs a bipartite state file (two dims), got dims {list(rho.dims)}"
         )
     cert = certify(rho, _resolve_joint(args.relation, rho))
-    print(f"state:    {args.state} (dims {rho.dim_a}x{rho.dim_b}, digest {cert.state_digest[:16]})")
-    print(f"relation: {cert.relation_label} (bounds {cert.bound_provenance[0]}, {cert.bound_provenance[1]})")
-    print(f"per-component uncertainty: [{', '.join(_fmt(v) for v in cert.per_component)}]")
-    print(f"total:                     {_fmt(cert.total)}")
-    print(f"local limit:               {_fmt(cert.local_limit)}")
-    print(f"relative violation C:      {_fmt(cert.relative_violation)}")
-    print(f"verdict: {'ENTANGLED' if cert.entangled else 'no violation (not a separability proof)'}")
+    print(
+        f"state:    {args.state} (dims {rho.dim_a}x{rho.dim_b}, digest {cert.state_digest[:16]})\n"
+        f"relation: {cert.relation_label} (bounds {cert.bound_provenance[0]}, {cert.bound_provenance[1]})\n"
+        f"per-component uncertainty: [{', '.join(_fmt(v) for v in cert.per_component)}]\n"
+        f"total:                     {_fmt(cert.total)}\n"
+        f"local limit:               {_fmt(cert.local_limit)}\n"
+        f"relative violation C:      {_fmt(cert.relative_violation)}\n"
+        f"verdict: {'ENTANGLED' if cert.entangled else 'no violation (not a separability proof)'}"
+    )
     if args.json:
         write_utf8(args.json, json.dumps(cert.to_json_dict(), indent=2) + "\n")
     return EXIT_ENTANGLED if cert.entangled else EXIT_OK
@@ -274,7 +278,9 @@ def _parse_operator_spec(spec: str, two_l: int | None) -> tuple[OperatorSet, flo
         raise InvalidParameterError(
             f"--two-l applies to built-in spin and stokes sets, not to the operator file {spec!r}"
         )
-    doc = parse_json(read_utf8(path))
+    doc = parse_json(
+        read_utf8(path, "operator file is not UTF-8 text: "), "operator file is not valid JSON: "
+    )
     if not isinstance(doc, dict) or "operators" not in doc:
         raise InvalidParameterError('operator file must be an object with an "operators" key')
     return _operator_set_from_doc(doc, "operator file", path.name), None
@@ -288,18 +294,21 @@ def cmd_search_bound(args) -> int:
         result = minimize_sum_uncertainty(op_set, config)
     else:
         result = interval_minimum(op_set, reach)
-    print(f"set:      {op_set.label} (dimension {op_set.dim}, {len(op_set)} operators)")
-    print(f"minimum:  {_fmt(result.minimum)}")
+    # the report, printed in one call before any file is written
+    report = [
+        f"set:      {op_set.label} (dimension {op_set.dim}, {len(op_set)} operators)",
+        f"minimum:  {_fmt(result.minimum)}",
+    ]
     if reach is None:
-        print(
-            f"restarts: {config.restarts}  agreeing: {result.restarts_agreeing}"
-            f"  converged: {result.converged_count}"
-        )
         stops = result.stop_counts
-        print(f"stops: {' '.join(f'{reason}={count}' for reason, count in stops.items())}")
-        print(f"confidence: {'LOW (few restarts agree)' if result.low_confidence else 'ok'}")
+        report += [
+            f"restarts: {config.restarts}  agreeing: {result.restarts_agreeing}"
+            f"  converged: {result.converged_count}",
+            f"stops: {' '.join(f'{reason}={count}' for reason, count in stops.items())}",
+            f"confidence: {'LOW (few restarts agree)' if result.low_confidence else 'ok'}",
+        ]
         if not result.any_converged:
-            print("warning: no restart converged; minimum is the best value found")
+            report.append("warning: no restart converged; minimum is the best value found")
         # a variance sum is never negative, so 0 bounds a minimum that
         # rounding left below it
         bound, provenance = max(0.0, result.minimum), NUMERICALLY_CERTIFIED
@@ -314,15 +323,16 @@ def cmd_search_bound(args) -> int:
             },
         }
     else:
-        print(
+        report += [
             f"interval: [{_fmt(result.lower)}, {_fmt(result.upper)}]"
-            f"  gap: {_fmt(result.gap)}  boxes: {result.boxes}"
-        )
-        print("method: interval (deterministic; --restarts and --seed apply to operator files)")
+            f"  gap: {_fmt(result.gap)}  boxes: {result.boxes}",
+            "method: interval (deterministic; --restarts and --seed apply to operator files)",
+        ]
         bound, provenance = result.lower, INTERVAL
         record = {"interval": [result.lower, result.upper], "gap": result.gap, "boxes": result.boxes}
     if result.minimum < 1e-8:
-        print("note: minimum is ~0, a common eigenstate exists; no usable uncertainty limit")
+        report.append("note: minimum is ~0, a common eigenstate exists; no usable uncertainty limit")
+    print("\n".join(report))
     if args.emit_state:
         write_state(result.argmin.projector(), args.emit_state)
         print(f"wrote argmin state to {args.emit_state}")

@@ -14,7 +14,6 @@ import os
 import stat
 from dataclasses import InitVar, dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -502,6 +501,9 @@ def maximally_mixed(dims) -> DensityMatrix:
 # A negative zero is written as 0, which JSON reads back as +0.0, so the
 # text of a state survives a write/read round trip.
 
+# lines of a list that write_utf8 joins, encodes and writes at a time
+_LINES_PER_WRITE = 1024
+
 
 def state_to_json(state: DensityMatrix) -> str:
     # (re, im) doubles of each row, negative zeros turned to 0 by the + 0.0;
@@ -514,10 +516,13 @@ def state_to_json(state: DensityMatrix) -> str:
 
 
 def read_utf8(path, prefix: str = "") -> str:
-    """The text of a JSON input file; bytes that are not UTF-8 raise
-    StateFormatError with ``prefix`` before the decoder's message."""
+    """The text of a JSON input file: its bytes, read at once and decoded
+    as strict UTF-8, newlines untranslated.  Bytes that are not UTF-8
+    raise StateFormatError with ``prefix`` before the decoder's message."""
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.read()
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise StateFormatError(f"{prefix}{exc}") from exc
 
@@ -590,8 +595,13 @@ def matrix_from_rows(rows, size: int, what: str, error: type[Exception]) -> np.n
 
 def write_utf8(path, text: str | list[str]) -> None:
     """Write ``text``, a str or a list of strs written one after another,
-    as UTF-8 to ``path``: the one writer of every output file.  A long
-    output written from its lines needs no joined copy of them.
+    as UTF-8 to ``path``: the one writer of every output file.
+
+    A str is encoded before the file is opened, so text that cannot be
+    encoded leaves the target untouched.  A list is encoded and written
+    ``_LINES_PER_WRITE`` lines at a time, so a long output written from
+    its lines needs no joined copy of them.  The bytes go out through
+    ``os.write`` until every one is written.
 
     The file is opened without truncation, written, and then cut to the
     new length when it is a regular file; devices and FIFOs such as
@@ -603,10 +613,25 @@ def write_utf8(path, text: str | list[str]) -> None:
     several times the cost of the write itself (see README, "Output
     files").
     """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
-        fh.writelines([text] if isinstance(text, str) else text)
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            fh.truncate()
+    if isinstance(text, str):
+        chunks = (text.encode("utf-8"),)
+    else:
+        chunks = (
+            "".join(text[k : k + _LINES_PER_WRITE]).encode("utf-8")
+            for k in range(0, len(text), _LINES_PER_WRITE)
+        )
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        size = 0
+        for chunk in chunks:
+            view = memoryview(chunk)
+            while view:
+                view = view[os.write(fd, view) :]
+            size += len(chunk)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, size)
+    finally:
+        os.close(fd)
 
 
 def write_state(state: DensityMatrix, path) -> None:

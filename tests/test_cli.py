@@ -793,7 +793,10 @@ def test_hostile_files_are_parse_errors(where, content, tmp_path, capsys):
     }[where]
     assert run(*argv) == 2
     captured = capsys.readouterr()
-    assert structured_error(captured).startswith("error[parse]:")
+    # the message names the file kind at fault
+    kind = {"state": "state file", "bound": "bound file", "operators": "operator file"}[where]
+    reason = "is not UTF-8 text" if content == "not-utf8" else "is not valid JSON"
+    assert structured_error(captured).startswith(f"error[parse]: {kind} {reason}: ")
     assert captured.out == ""
 
 

@@ -148,13 +148,10 @@ def test_an_operator_set_is_one_dimension():
             "cannot normalize the zero vector",
             id="zero-ket",
         ),
-        # no amplitude of a NaN vector leads, so the phase turn passes it on
-        # unturned to the finiteness check
         pytest.param(
             lambda: PureState.canonical([np.nan, 1.0]),
             "state vector amplitudes must be finite",
             id="canonical-nan-ket",
-            marks=pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning"),
         ),
         pytest.param(
             lambda: family_components("thermal"),

@@ -1,8 +1,11 @@
 """Output files: every CLI writer goes through ``states.write_utf8``, which
-writes in place and cuts a regular file to length.  What ``open(path, "w")``
-kept stays as it was: the bytes of a fresh write, the inode, the mode, hard
-links, symlink following, the ``error[io]`` line, and no cut of a device."""
+encodes first, writes the bytes in place through ``os.write`` and cuts a
+regular file to length.  What ``open(path, "w")`` kept stays as it was: the
+bytes of a fresh write, the inode, the mode, hard links, symlink following,
+the ``error[io]`` line, and no cut of a device.  Input files go through
+``states.read_utf8``, which reads bytes and decodes them as strict UTF-8."""
 
+import json
 import os
 import pathlib
 import stat
@@ -12,7 +15,15 @@ import pytest
 
 from lurcert import cli
 from lurcert.spin_ops import SpinQuantum
-from lurcert.states import bell_mixture, singlet_state, write_state
+from lurcert.states import (
+    _LINES_PER_WRITE,
+    bell_mixture,
+    read_state,
+    read_utf8,
+    singlet_state,
+    write_state,
+    write_utf8,
+)
 
 # writer -> (output option, long command, short command); the long command
 # writes more bytes than the short one to the same option
@@ -184,3 +195,89 @@ def test_a_fifo_gets_the_whole_output_and_no_cut(tmp_path, inputs, capsys):
     finally:
         reader.join(timeout=60)
     assert received == [short]
+
+
+def test_short_os_writes_still_write_every_byte_and_cut(tmp_path, monkeypatch):
+    # 7-byte writes split the two-byte UTF-8 sequences of "é"
+    text = "état, " * 50 + "\n"
+    data = text.encode("utf-8")
+    out = tmp_path / "out"
+    out.write_bytes(b"x" * (2 * len(data)))
+    write = os.write
+    sizes = []
+
+    def short_write(fd, view):
+        sizes.append(len(view))
+        return write(fd, view[:7])
+
+    monkeypatch.setattr(os, "write", short_write)
+    write_utf8(out, text)
+    write_utf8(tmp_path / "lines", [text] * 3)
+    assert out.read_bytes() == data
+    assert (tmp_path / "lines").read_bytes() == data * 3
+    # each call is offered what the previous ones left
+    expected = list(range(len(data), 0, -7))
+    assert sizes[: len(expected)] == expected
+
+
+@pytest.mark.parametrize("count", [0, 1, _LINES_PER_WRITE, _LINES_PER_WRITE + 1, 3 * _LINES_PER_WRITE + 5])
+def test_a_list_of_lines_is_written_as_their_concatenation(count, tmp_path, monkeypatch):
+    lines = [f"{k},{'é' * (k % 4)}\n" for k in range(count)]
+    data = "".join(lines).encode("utf-8")
+    out = tmp_path / "lines.csv"
+    out.write_bytes(b"x" * (len(data) + 100))
+    write = os.write
+    sizes = []
+
+    def recorded_write(fd, view):
+        sizes.append(len(view))
+        return write(fd, view)
+
+    monkeypatch.setattr(os, "write", recorded_write)
+    write_utf8(out, lines)
+    assert out.read_bytes() == data
+    # one write per slice of lines, never the joined whole of a long list
+    slices = range(0, count, _LINES_PER_WRITE)
+    assert sizes == [len("".join(lines[k : k + _LINES_PER_WRITE]).encode("utf-8")) for k in slices]
+
+
+def test_text_that_cannot_be_encoded_leaves_no_file(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(UnicodeEncodeError):
+        write_utf8(out, "lone surrogate \udc80\n")
+    assert not out.exists()
+
+
+def test_a_crlf_state_file_reads_to_the_same_state(tmp_path):
+    state = bell_mixture(0.8, 0.1, 0.05, 0.05)
+    lf, crlf = tmp_path / "lf.json", tmp_path / "crlf.json"
+    write_state(state, lf)
+    text = json.dumps(json.loads(lf.read_bytes()), indent=1).replace("\n", "\r\n")
+    crlf.write_bytes(text.encode("utf-8"))
+    # the reader hands the decoder's text on, newlines untranslated
+    assert read_utf8(crlf) == text
+    assert text.count("\r\n") > 4
+    read_lf, read_crlf = read_state(lf), read_state(crlf)
+    assert read_crlf.matrix.tobytes() == read_lf.matrix.tobytes() == state.matrix.tobytes()
+    assert read_crlf.digest == read_lf.digest == state.digest
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd (Linux)")
+def test_failed_writes_and_reads_leave_no_descriptor_open(tmp_path, inputs, monkeypatch, capsys):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    out = tmp_path / "out.json"
+    before = len(os.listdir("/proc/self/fd"))
+
+    def failing_write(fd, view):
+        raise OSError(28, "No space left on device")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "write", failing_write)
+        for _ in range(200):
+            assert cli.main(["state-gen", "--kind", "singlet", "--two-l", "1", "--out", str(out)]) == 2
+            assert capsys.readouterr().err == "error[io]: [Errno 28] No space left on device\n"
+    for _ in range(200):
+        assert cli.main(["certify", "--state", str(folder), "--relation", "s3"]) == 2
+        assert capsys.readouterr().err == f"error[io]: [Errno 21] Is a directory: '{folder}'\n"
+    assert len(os.listdir("/proc/self/fd")) <= before
