@@ -19,7 +19,7 @@ from . import __version__
 from .linalg import DimensionMismatchError, InvalidParameterError
 from .spin_ops import OperatorSet, SpinQuantum
 from .states import DensityMatrix, PureState, family_weights
-from .uncertainty import UncertaintyRelation, _checked_bound, catalog_bound, clip_variance, real_part
+from .uncertainty import UncertaintyRelation, _checked_bound, catalog_bound, clip_variance
 
 # A state must undercut the local limit by this much before it is flagged;
 # false positives are the fatal error mode for a witness.
@@ -71,8 +71,8 @@ class JointOperatorSet:
     @cached_property
     def guard_scales(self) -> tuple[float, ...]:
         """max(1, (||A_i|| + ||B_i||)^2) per component, with Frobenius norms:
-        a bound on the size of <J_i^2>, by which the imaginary-part guard
-        and the variance floor of the moments scale."""
+        a bound on the size of <J_i^2>, by which the variance floor of the
+        moments scales."""
         norm_a, norm_b = (
             np.linalg.norm(np.array(s.operators), axis=(1, 2)) for s in (self.set_a, self.set_b)
         )
@@ -186,7 +186,9 @@ class LurCertificate:
 def joint_moments(
     rho: DensityMatrix, joint: JointOperatorSet
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The real arrays of <J_i> and of <J_i^2> on a bipartite state.
+    """The real arrays of <J_i> and of <J_i^2> on a bipartite state: the
+    real parts of the traces, Re Tr(rho O) = Tr(rho_H O) for a Hermitian O,
+    so the moments of the Hermitian part rho_H = (rho + rho^H)/2.
 
     Both are linear in ``rho``, so the moments of a mixture are the same
     mixture of its components' moments.
@@ -214,9 +216,8 @@ def joint_moments(
     pairs = r.transpose(0, 2, 1, 3).reshape(da * da, db * db)
     vec_a, vec_b, sq_a, sq_b = joint.trace_rows
     cross = ((vec_a @ pairs) * vec_b).sum(axis=1)
-    scales = joint.guard_scales
-    mean = real_part(vec_a @ rho_a + vec_b @ rho_b, scales)
-    second = real_part(sq_a @ rho_a + sq_b @ rho_b + 2 * cross, scales)
+    mean = (vec_a @ rho_a + vec_b @ rho_b).real
+    second = (sq_a @ rho_a + sq_b @ rho_b + 2 * cross).real
     return mean, second
 
 
@@ -224,15 +225,14 @@ def _ket_moments(ket: PureState, joint: JointOperatorSet) -> tuple[np.ndarray, n
     """``joint_moments`` of the pure state ``ket`` from its d_A x d_B
     amplitude matrix Psi, at O(K N^3) and with no D x D array: J_i psi is
     S_i = A_i Psi + Psi B_i^T, so <J_i^2> = ||S_i||^2, real and
-    nonnegative by construction, and <J_i> = Re sum conj(Psi) * S_i,
-    through the scaled imaginary-part guard."""
+    nonnegative by construction, and <J_i> = Re sum conj(Psi) * S_i."""
     da, db = joint.dim_a, joint.dim_b
     psi = ket.amplitudes.reshape(da, db)
     vec_a, vec_b = joint.trace_rows[:2]
     # the rows reshape to the A_i^T and the B_i^T
     moved = vec_a.reshape(-1, da, da).transpose(0, 2, 1) @ psi + psi @ vec_b.reshape(-1, db, db)
     flat = moved.reshape(len(moved), -1)
-    mean = real_part(flat @ psi.conj().reshape(-1), joint.guard_scales)
+    mean = (flat @ psi.conj().reshape(-1)).real
     parts = flat.view(float)
     return mean, np.einsum("ij,ij->i", parts, parts)
 
@@ -298,7 +298,8 @@ def _transposed_rows(ops: np.ndarray) -> np.ndarray:
 
 def closed_form_violation(kind: str, relation: str, params: tuple) -> float | None:
     """The paper's closed-form relative violation C of a family member, or
-    None for a (kind, relation) pair without one.
+    None for a (kind, relation) pair without one; a relation outside
+    ``RELATION_KINDS`` raises InvalidParameterError.
 
     ``params`` are the family constructor's arguments: ``(spin, p_w)`` for
     ``white``, ``(p_d,)`` for ``xdecoherence`` and ``(p_s, p_1, p_2, p_3)``
@@ -306,6 +307,8 @@ def closed_form_violation(kind: str, relation: str, params: tuple) -> float | No
     """
     # the family's own checks of its parameters and of the kind
     weights = family_weights(kind, params)
+    if relation not in _RELATION_TABLE:
+        raise InvalidParameterError(f"unknown relation kind {relation!r}; valid: {RELATION_KINDS}")
     three = relation in ("l3", "s3")
     if kind == "white":
         spin, p_w = params[0], weights[1]

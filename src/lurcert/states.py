@@ -67,13 +67,16 @@ class DensityMatrix:
     tolerance: InitVar[float | None] = None
 
     def __post_init__(self, tolerance):
-        tol = DEFAULT_TOLERANCE if tolerance is None else tolerance
-        # a non-number cannot be compared, NaN fails every comparison, and an
-        # infinite tolerance would accept any state with finite entries;
-        # float is named first because the ABC check alone costs ~0.6 µs
-        if not isinstance(tol, (float, numbers.Real)) or not 0 < tol < math.inf:
+        # a bool, a non-number and a number beyond the float range are
+        # refused; NaN fails every comparison, and an infinite tolerance
+        # would accept any state with finite entries
+        try:
+            tol = DEFAULT_TOLERANCE if tolerance is None else _real(tolerance, "tolerance")
+        except InvalidParameterError:
+            tol = math.nan
+        if not 0 < tol < math.inf:
             raise InvalidParameterError(
-                f"validation tolerance must be a finite number above zero, got {tol!r}"
+                f"validation tolerance must be a finite number above zero, got {tolerance!r}"
             )
         m = linalg.as_square_matrix(self.matrix)
         dims = _matched_dims(self.dims, m.shape[0])
@@ -284,24 +287,6 @@ def _real(x, name: str) -> float:
         raise InvalidParameterError(f"{name}: an integer beyond the float range") from None
 
 
-def _check_probabilities(weights, what: str = "probabilities") -> tuple[float, ...]:
-    ws = tuple(_real(w, what) for w in weights)
-    # negated, so that NaN fails both tests
-    for w in ws:
-        if not w >= 0:
-            raise InvalidParameterError(f"{what} must be nonnegative, got {w}")
-    if not abs(sum(ws) - 1.0) <= 1e-12:
-        raise InvalidParameterError(f"{what} must sum to 1, got {sum(ws):.17g}")
-    return ws
-
-
-def _check_fraction(p, name: str) -> float:
-    p = _real(p, name)
-    if not 0.0 <= p <= 1.0:
-        raise InvalidParameterError(f"{name} must lie in [0, 1], got {p}")
-    return p
-
-
 def _singlet_amplitudes(spin: SpinQuantum) -> np.ndarray:
     """The amplitudes of ``singlet_ket(spin)``, without its norm check."""
     if spin.two_l < 1:
@@ -370,10 +355,10 @@ def bell_mixture(p_s, p_1, p_2, p_3) -> DensityMatrix:
     """Mixture p_S |S><S| + p_1 |T1><T1| + p_2 |T2><T2| + p_3 |T3><T3|.
 
     Valid by construction, so it is handed over unchecked: the weights
-    are checked to be at least 0 and to sum to 1 within 1e-12, and they
-    mix exact projectors of unit kets.
+    are checked by ``family_weights`` to be at least 0 and to sum to 1
+    within 1e-12, and they mix exact projectors of unit kets.
     """
-    weights = _check_probabilities((p_s, p_1, p_2, p_3), what="Bell weights")
+    weights = family_weights("bell", (p_s, p_1, p_2, p_3))
     matrix = np.zeros((4, 4), dtype=complex)
     for w, projector in zip(weights, _BELL_PROJECTORS):
         matrix += w * projector
@@ -384,13 +369,13 @@ def white_noise_mixture(spin: SpinQuantum, p_w) -> DensityMatrix:
     """Singlet mixed with white noise: (1-p_W)|sing><sing| + p_W 1/N^2.
 
     Valid by construction, so it is handed over unchecked: p_W is checked
-    to lie in [0, 1], and the weights 1 - p_W and p_W mix the exact
-    projector of the unit singlet ket with 1/N^2.
+    by ``family_weights`` to lie in [0, 1], and the weights 1 - p_W and
+    p_W mix the exact projector of the unit singlet ket with 1/N^2.
     """
-    p_w = _check_fraction(p_w, "p_w")
+    w_sing, w_mixed = family_weights("white", (spin, p_w))
     n = spin.dim
     sing = _singlet_amplitudes(spin)
-    matrix = (1 - p_w) * np.outer(sing, sing.conj()) + p_w * np.eye(n * n) / (n * n)
+    matrix = w_sing * np.outer(sing, sing.conj()) + w_mixed * np.eye(n * n) / (n * n)
     return DensityMatrix._adopt(matrix, (n, n))
 
 
@@ -419,13 +404,13 @@ def x_decoherence_mixture(p_d) -> DensityMatrix:
     every p_D.  All four projectors are built once, at import.
 
     Valid by construction, so it is handed over unchecked: p_D is checked
-    to lie in [0, 1], and the weights 1 - p_D and three times p_D / 3 mix
-    exact projectors of unit kets.
+    by ``family_weights`` to lie in [0, 1], and the weights 1 - p_D and
+    three times p_D / 3 mix exact projectors of unit kets.
     """
-    p_d = _check_fraction(p_d, "p_d")
-    matrix = (1 - p_d) * _SPIN1_SINGLET_PROJECTOR
-    for projector in _X_PRODUCT_PROJECTORS:
-        matrix += (p_d / 3) * projector
+    w_sing, *w_products = family_weights("xdecoherence", (p_d,))
+    matrix = w_sing * _SPIN1_SINGLET_PROJECTOR
+    for w, projector in zip(w_products, _X_PRODUCT_PROJECTORS):
+        matrix += w * projector
     return DensityMatrix._adopt(matrix, (3, 3))
 
 
@@ -439,12 +424,19 @@ def family_components(kind: str, spin: SpinQuantum | None = None) -> tuple[PureS
     A member is sum_k w_k |k><k| (1/D for None) with w = ``family_weights``.
     """
     if kind == "white":
-        return singlet_ket(spin), None
+        return singlet_ket(_white_spin(spin)), None
     if kind == "xdecoherence":
         return singlet_ket(SpinQuantum(2)), *map(PureState, _X_PRODUCT_KETS)
     if kind == "bell":
         return tuple(PureState(ket.amplitudes) for ket in _BELL_KETS.values())
     raise InvalidParameterError(f"unknown family kind {kind!r}")
+
+
+def _white_spin(spin) -> SpinQuantum:
+    """``spin``, which must be a SpinQuantum; raises InvalidParameterError."""
+    if not isinstance(spin, SpinQuantum):
+        raise InvalidParameterError(f"family 'white' takes a SpinQuantum spin, got {spin!r}")
+    return spin
 
 
 def family_weights(kind: str, params) -> tuple[float, ...]:
@@ -458,13 +450,23 @@ def family_weights(kind: str, params) -> tuple[float, ...]:
         raise InvalidParameterError(
             f"family {kind!r} takes {count} parameter{'s' * (count > 1)}, got {len(params)}"
         )
+    if kind == "bell":
+        ws = tuple(_real(w, "Bell weights") for w in params)
+        # negated, so that NaN fails both tests
+        for w in ws:
+            if not w >= 0:
+                raise InvalidParameterError(f"Bell weights must be nonnegative, got {w}")
+        if not abs(sum(ws) - 1.0) <= 1e-12:
+            raise InvalidParameterError(f"Bell weights must sum to 1, got {sum(ws):.17g}")
+        return ws
+    name = "p_w" if kind == "white" else "p_d"
+    p = _real(params[-1], name)
+    if not 0.0 <= p <= 1.0:
+        raise InvalidParameterError(f"{name} must lie in [0, 1], got {p}")
     if kind == "white":
-        p_w = _check_fraction(params[1], "p_w")
-        return 1 - p_w, p_w
-    if kind == "xdecoherence":
-        p_d = _check_fraction(params[0], "p_d")
-        return 1 - p_d, p_d / 3, p_d / 3, p_d / 3
-    return _check_probabilities(params, what="Bell weights")
+        _white_spin(params[0])
+        return 1 - p, p
+    return 1 - p, p / 3, p / 3, p / 3
 
 
 def min_uncertainty_state_n3(phi: float) -> PureState:

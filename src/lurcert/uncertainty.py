@@ -1,4 +1,4 @@
-"""Variances, trace guards, and the catalog of certified lower bounds.
+"""Variances, the variance floor, and the catalog of certified lower bounds.
 
 The catalog entries are the analytic minima of the uncertainty sum over all
 states for the standard spin sets: the three-component bound l, and the
@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .linalg import DimensionMismatchError, InvalidParameterError, NotHermitianError
+from .linalg import DimensionMismatchError, InvalidParameterError
 from .spin_ops import (
     OperatorSet,
     SpinQuantum,
@@ -28,35 +28,14 @@ from .spin_ops import (
 )
 from .states import DensityMatrix, NotPositiveError, _real
 
-# Traces of Hermitian products are real; larger imaginary parts mean the
-# inputs are corrupted, not rounding noise.  Both limits are for operators
-# of norm about 1, and callers scale them by the size of the traces.
-_IMAG_GUARD = 1e-10
+# A variance within this much below zero, for operators of norm about 1, is
+# rounding; callers scale it by the size of the traces.
 _VARIANCE_FLOOR = -1e-12
 
 ANALYTIC = "analytic"
 NUMERICALLY_CERTIFIED = "numerically-certified"
 # the proven lower end of an interval search (bound_search.interval_minimum)
 INTERVAL = "interval"
-
-
-def real_part(traces, scale=1.0):
-    """Real part of a numpy trace, or an array of traces, of Hermitian
-    products; raises NotHermitianError when an imaginary part exceeds the
-    rounding guard, 1e-10 times ``scale``.  ``scale`` is at least 1, one
-    value for all traces or one per trace."""
-    imag = np.abs(traces.imag)
-    # a guard scaled by at least 1 is never below the unscaled one; counting
-    # costs less than a max reduction
-    if np.count_nonzero(imag > _IMAG_GUARD) and (imag > _IMAG_GUARD * np.asarray(scale)).any():
-        raise NotHermitianError(
-            f"trace has non-negligible imaginary part {imag.max():.3e}; inputs look corrupted"
-        )
-    return traces.real
-
-
-def _real_trace(product: np.ndarray) -> float:
-    return float(real_part(np.trace(product)))
 
 
 def clip_variance(value: float, scale: float = 1.0) -> float:
@@ -72,15 +51,15 @@ def clip_variance(value: float, scale: float = 1.0) -> float:
 
 
 def variance(rho: DensityMatrix, a: np.ndarray) -> float:
-    """Measurement variance Tr(rho A^2) - Tr(rho A)^2, clipped at zero when
-    the value is within -1e-12 of it."""
+    """Measurement variance Tr(rho A^2) - Tr(rho A)^2 from the real parts
+    of the traces, clipped at zero when the value is within -1e-12 of it."""
     a = linalg.ensure_hermitian(a, what="operator")
     if a.shape[0] != rho.dim:
         raise DimensionMismatchError(
             f"operator dimension {a.shape[0]} does not match state dimension {rho.dim}"
         )
-    mean = _real_trace(rho.matrix @ a)
-    second = _real_trace(rho.matrix @ (a @ a))
+    mean = float(np.trace(rho.matrix @ a).real)
+    second = float(np.trace(rho.matrix @ (a @ a)).real)
     return clip_variance(second - mean * mean)
 
 

@@ -520,7 +520,7 @@ def scaled_spin1_xy_bound_file(path, scale):
 @pytest.mark.parametrize("scale", [1e5, 1e6, 1e7])
 def test_large_operator_bound_file_certifies_as_unscaled(scale, tmp_path, capsys):
     # the traces of these operators carry imaginary rounding of 1e-7 to
-    # 1e-3, so the imaginary-part guard must scale with the operators
+    # 1e-3, which the real parts of the moments leave out
     rng = np.random.default_rng(3)
     g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
     state = tmp_path / "state.json"
@@ -642,23 +642,33 @@ def test_oversized_restarts_are_refused(capsys):
 
 
 def test_corrupt_moments_name_the_broken_invariant(tmp_path, monkeypatch, capsys):
-    # states that only a loosened tolerance admits: a skewed one leaves an
-    # imaginary trace, (1 + 1e-4)|S><S| - 1e-4|up up><up up| a negative variance
+    # states that only a loosened tolerance admits: a skewed one certifies
+    # as its Hermitian part, (1 + 1e-4)|S><S| - 1e-4|up up><up up| leaves a
+    # negative variance
     skewed = np.eye(4, dtype=complex) / 4
     skewed[0, 1] = 1e-4j
     singlet = singlet_state(SpinQuantum(1)).matrix
     negative = (1 + 1e-4) * singlet - 1e-4 * np.diag([1.0, 0.0, 0.0, 0.0])
     monkeypatch.setenv("LURCERT_VALIDATION_TOL", "1e-3")
-    for m, relation, expected in (
-        (skewed, "l3", "error[not-hermitian]: trace has non-negligible imaginary part 5.000e-05;"
-                       " inputs look corrupted"),
-        (negative, "s3", "error[not-positive]: variance -2.000e-04 is negative beyond tolerance;"
-                         " inputs look corrupted"),
-    ):
+
+    def certify_file(m, relation):
         state = tmp_path / "state.json"
         state.write_text(json.dumps({"dims": [2, 2], "matrix": np.stack([m.real, m.imag], -1).tolist()}))
-        assert run("certify", "--state", str(state), "--relation", relation) == 2
-        assert structured_error(capsys.readouterr()) == expected
+        return run("certify", "--state", str(state), "--relation", relation), capsys.readouterr()
+
+    code, captured = certify_file(skewed, "l3")
+    assert (code, captured.err) == (0, "")
+    total = [line for line in captured.out.splitlines() if line.startswith("total:")]
+    code, captured = certify_file((skewed + skewed.conj().T) / 2, "l3")
+    assert (code, captured.err) == (0, "")
+    assert len(total) == 1 and total == [
+        line for line in captured.out.splitlines() if line.startswith("total:")
+    ]
+    code, captured = certify_file(negative, "s3")
+    assert code == 2
+    assert structured_error(captured) == (
+        "error[not-positive]: variance -2.000e-04 is negative beyond tolerance; inputs look corrupted"
+    )
 
 
 def test_hostile_row_counts_allocate_only_the_cells_present(tmp_path, capsys):

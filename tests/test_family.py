@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from lurcert import cli, states
-from lurcert.linalg import ENV_TOLERANCE_VAR, LurcertError
-from lurcert.lur import RELATION_KINDS, certify, joint_from_catalog
+from lurcert.linalg import ENV_TOLERANCE_VAR, InvalidParameterError, LurcertError
+from lurcert.lur import RELATION_KINDS, certify, closed_form_violation, joint_from_catalog
 from lurcert.spin_ops import SpinQuantum
 from lurcert.states import (
     bell_mixture,
@@ -133,6 +133,28 @@ def test_family_weights_refuse_as_the_constructors_do():
         with pytest.raises(LurcertError) as weighted:
             family_weights(kind, params)
         assert str(weighted.value) == str(built.value)
+
+
+def test_the_white_family_takes_its_spin_as_a_spin_quantum():
+    # each check in the constructor's order: p_w, then the spin, then l = 0
+    for spin in (2, 2.0, None, "1"):
+        for build in (
+            lambda: white_noise_mixture(spin, 0.3),
+            lambda: family_weights("white", (spin, 0.3)),
+            lambda: family_components("white", spin),
+            lambda: closed_form_violation("white", "l3", (spin, 0.3)),
+        ):
+            with pytest.raises(InvalidParameterError) as err:
+                build()
+            assert str(err.value) == f"family 'white' takes a SpinQuantum spin, got {spin!r}"
+    for spin, p_w, message in (
+        (2, 1.5, "p_w must lie in [0, 1], got 1.5"),
+        (SpinQuantum(0), 1.5, "p_w must lie in [0, 1], got 1.5"),
+        (SpinQuantum(0), 0.3, "no two-party singlet exists for l = 0"),
+    ):
+        with pytest.raises(InvalidParameterError) as err:
+            white_noise_mixture(spin, p_w)
+        assert str(err.value) == message
 
 
 def test_family_rows_match_certified_members(tmp_path, capsys):

@@ -155,6 +155,13 @@ def test_closed_form_table_blanks_and_checks():
 
 
 
+def test_closed_forms_refuse_an_unknown_relation():
+    for kind, params in (("white", (SpinQuantum(2), 0.3)), ("xdecoherence", (0.3,)), ("bell", (1, 0, 0, 0))):
+        with pytest.raises(InvalidParameterError) as err:
+            closed_form_violation(kind, "zz", params)
+        assert str(err.value) == f"unknown relation kind 'zz'; valid: {RELATION_KINDS}"
+
+
 # parameters that family_weights refuses, each in the slot it checks
 REFUSED_FAMILY_PARAMS = [
     *(
@@ -402,15 +409,44 @@ def test_certify_matches_kron_reference_on_families():
             assert_matches_kron_reference(bell_mixture(p, 1 - p, 0, 0), joint_from_catalog(relation, 2, 2))
 
 
-def test_certify_keeps_the_imaginary_part_guard():
+def test_certify_reads_the_hermitian_part_of_a_skewed_state():
     # an anti-Hermitian perturbation below a loosened Hermiticity tolerance
-    # passes validation but leaves Tr(rho J) with an imaginary part
+    # passes validation and moves no real part of a moment
     g = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
     matrix = maximally_mixed((2, 2)).matrix + 1e-4j * g
     rho = DensityMatrix(matrix, (2, 2), 1e-3)
-    with pytest.raises(LurcertError, match="imaginary part") as err:
-        certify(rho, joint_from_catalog("s3", 2, 2))
-    assert err.value.code == "not-hermitian"
+    for relation in ("s3", "l3"):
+        joint = joint_from_catalog(relation, 2, 2)
+        got, want = certify(rho, joint), certify(maximally_mixed((2, 2)), joint)
+        assert got.per_component == want.per_component
+        assert got.total == want.total
+        assert got.relative_violation == want.relative_violation
+
+
+def test_states_with_an_anti_hermitian_part_certify_as_their_hermitian_part():
+    # rho + K with K = -K^H off the diagonal and |K_jk| <= 0.49 eps, so that
+    # it deviates from Hermiticity by at most 0.98 eps
+    eps = 1e-3
+    rng = np.random.default_rng(30)
+    checked = 0
+    for dims in ((2, 2), (3, 3), (2, 3), (4, 4)):
+        relations = [r for r in RELATION_KINDS if r in ("l3", "s3") or int(r[-1]) == dims[0] == dims[1]]
+        dim = dims[0] * dims[1]
+        for _ in range(10):
+            hermitian = random_mixed_state(dim, rng, dims).matrix
+            x = rng.uniform(-1, 1, (dim, dim)) + 1j * rng.uniform(-1, 1, (dim, dim))
+            k = (x - x.conj().T) / 2
+            np.fill_diagonal(k, 0)
+            k *= 0.49 * eps / np.abs(k).max()
+            rho = DensityMatrix(hermitian + k, dims, eps)
+            for relation in relations:
+                joint = joint_from_catalog(relation, *dims)
+                got, want = certify(rho, joint), certify(DensityMatrix(hermitian, dims), joint)
+                tol = 1e-12 * max(1.0, abs(want.total))
+                assert np.abs(np.subtract(got.per_component, want.per_component)).max() <= tol
+                assert abs(got.total - want.total) <= tol
+                checked += 1
+    assert checked == 10 * (4 + 4 + 2 + 2)
 
 
 def test_certify_keeps_the_negative_variance_floor():

@@ -3,8 +3,7 @@
 The reference functions below spell out the per-state arithmetic in its
 plainest form: explicit outer products of the Bell and singlet kets,
 function-form partial traces, separate products with the rows of the A_i,
-the A_i^2, the B_i and the B_i^2, and one imaginary-part guard per moment
-row.  ``reference_score`` is the certificate arithmetic on numpy arrays.
+the A_i^2, the B_i and the B_i^2, and the real part of each moment row.  ``reference_score`` is the certificate arithmetic on numpy arrays.
 Every stored matrix, moment, certificate field and digest must equal
 theirs to the bit, for catalog joints and for random bound-file-like
 joints of one, two and four components.
@@ -37,7 +36,7 @@ from lurcert.states import (
     x_basis_kets,
     x_decoherence_mixture,
 )
-from lurcert.uncertainty import clip_variance, real_part
+from lurcert.uncertainty import clip_variance
 
 from oracles import random_mixed_state, random_product_state, random_pure_state
 
@@ -87,11 +86,8 @@ def reference_moments(matrix, joint):
     rho_a = np.trace(r, axis1=1, axis2=3).reshape(-1)
     rho_b = np.trace(r, axis1=0, axis2=2).reshape(-1)
     pairs = r.transpose(0, 2, 1, 3).reshape(da * da, db * db)
-    scales = joint.guard_scales
-    mean = real_part(vec_a @ rho_a + vec_b @ rho_b, scales)
-    second = real_part(
-        sq_a @ rho_a + sq_b @ rho_b + 2 * ((vec_a @ pairs) * vec_b).sum(axis=1), scales
-    )
+    mean = (vec_a @ rho_a + vec_b @ rho_b).real
+    second = (sq_a @ rho_a + sq_b @ rho_b + 2 * ((vec_a @ pairs) * vec_b).sum(axis=1)).real
     return mean, second
 
 

@@ -31,14 +31,12 @@ and under ``LURCERT_VALIDATION_TOL=1e-3``, on the l3 and s3 limits:
 
 - the trace class, rho' = (1 + 0.99 eps) P, whose total moves to first
   order by 0.99 eps (2l - |<J>|^2), so that products with a long joint
-  mean vector cross the fixed margin and break (a);
+  mean vector cross the fixed margin and break (a), for the same reason
+  as above, so it is again a strict xfail;
 - the anti-Hermitian class, rho' = P + K with K_01 = K_10 = 0.49i eps,
-  which moves no real part of a moment, so it is never called ENTANGLED,
-  but whose moments' imaginary parts pass the fixed 1e-10 guard and break
-  (b).
-
-Each breaks its invariant for the same reason as above, so each is again a
-strict xfail.
+  which moves no real part of a moment.  ``certify`` reads the real part
+  of each moment, Re Tr(rho' J) = Tr(P J), so the class is never called
+  ENTANGLED and never refused, and (b) holds for it.
 
 Two classes certify against bound files, each through the in-process
 ``cli.main``:
@@ -354,11 +352,6 @@ def test_no_entangled_verdict_when_the_trace_is_off_within_the_tolerance(
     assert not wrong, f"{len(wrong)} ENTANGLED verdicts on products with a scaled trace, first {wrong[:4]}"
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 2: the fixed 1e-10 imaginary-part guard ignores the validation tolerance",
-)
 def test_a_state_with_an_anti_hermitian_part_that_was_read_is_never_refused(
     perturbed, monkeypatch, capsys
 ):

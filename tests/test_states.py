@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -104,7 +105,8 @@ def test_validate_env_tolerance_widening():
 
 
 @pytest.mark.parametrize(
-    "tolerance", [math.nan, math.inf, -math.inf, 0.0, -1e-6, "1e-6", [1e-6], 1e-6 + 0j]
+    "tolerance",
+    [math.nan, math.inf, -math.inf, 0.0, -1e-6, "1e-6", [1e-6], 1e-6 + 0j, True, 10**400],
 )
 def test_a_tolerance_that_is_not_finite_and_positive_is_refused(tolerance, tmp_path):
     # [[5, 3], [0, -7]] has trace -2, is not Hermitian and is indefinite;
@@ -126,7 +128,7 @@ def test_a_tolerance_that_is_not_finite_and_positive_is_refused(tolerance, tmp_p
             )
 
 
-@pytest.mark.parametrize("tolerance", [None, 1e-6, np.float64(1e-6)])
+@pytest.mark.parametrize("tolerance", [None, 1e-6, np.float64(1e-6), Fraction(1, 1000)])
 def test_a_number_or_none_is_a_tolerance(tolerance):
     assert DensityMatrix(np.eye(2) / 2, (2,), tolerance).dims == (2,)
 

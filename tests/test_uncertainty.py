@@ -14,7 +14,6 @@ from lurcert.uncertainty import (
     CATALOG_KINDS,
     catalog_bound,
     clip_variance,
-    real_part,
     variance,
 )
 
@@ -179,12 +178,6 @@ def test_catalog_kind_list_is_complete():
 
 
 def test_guards_scale_with_the_traces():
-    traces = np.array([1.0 + 1e-6j, 2.0 - 1e-11j])
-    with pytest.raises(LurcertError, match="imaginary part 1.000e-06"):
-        real_part(traces)
-    with pytest.raises(LurcertError, match="imaginary part"):
-        real_part(traces, np.array([1e3, 1e5]))  # the guard of the first trace is 1e-7
-    assert np.array_equal(real_part(traces, np.array([1e5, 1.0])), [1.0, 2.0])
     assert clip_variance(-1e-13) == 0.0
     with pytest.raises(LurcertError, match="negative beyond tolerance"):
         clip_variance(-1e-6)
