@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import InvalidParameterError
+from .linalg import _UNIT_ROUNDOFF, InvalidParameterError, _demmel, _factorizes, _gamma
 from .spin_ops import OperatorSet
 from .states import PureState
 
@@ -292,14 +292,8 @@ MAX_LEVEL_BOXES = 512
 CHOLESKY_RETRIES = 8
 SHIFT_WIDENING = 16.0
 
-_UNIT_ROUNDOFF = 2.0**-53
 # the midpoints of a box's children, in units of the children's half-width
 _CHILD_OFFSETS = np.arange(1 - BOX_SPLIT, BOX_SPLIT, 2, dtype=float)
-
-
-def _gamma(n: int) -> float:
-    """Higham's gamma_n = n u / (1 - n u), with u the unit roundoff."""
-    return n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,9 +328,9 @@ class _Reduction:
     A proof factors the real symmetric F = fl(Q - 2tA) - shift * 1: the real
     parts when Q and A are real, else the block form [[Re, -Im], [Im, Re]],
     which has the same eigenvalues (each twice).  If the factorization runs
-    to completion, F + dF is positive semidefinite with
-    ||dF|| <= gamma_{m+1} / (1 - gamma_{m+1}) tr(F) (Demmel; Rump, BIT 46,
-    433 (2006)).  F also differs from the exact Q - 2tA - shift * 1 of the
+    to completion, F + dF is positive semidefinite with ||dF|| <=
+    ``_demmel(m)`` tr(F) (Demmel; Rump, BIT 46, 433 (2006)), m the size
+    of F.  F also differs from the exact Q - 2tA - shift * 1 of the
     exact spin matrices by the rounding of the stored matrices and of the
     products and sums that form it, at most gamma_w (2P + 4|t| ||A|| +
     |shift|) in spectral norm, where P = sum_i ||A_i||^2 in the largest
@@ -359,7 +353,7 @@ class _Reduction:
         # 2t A and t (2A) round alike
         self.ar2 = 2 * pair[1]
         size, dim = pair.shape[1], operator_set.dim
-        alpha = _gamma(size + 1) / (1 - _gamma(size + 1))
+        alpha = _demmel(size)
         form = _gamma(2 * dim + 2 * len(operator_set) + 16)
         # largest absolute row sums: of each A_i, and of Q and A as factored
         norms = np.abs(ops[1:]).sum(axis=-1).max(axis=-1).tolist()
@@ -386,24 +380,6 @@ class _Reduction:
         and ``square`` t^2."""
         s = _round_down(shift - (self.c0 + self.c1 * abs_t + self.c2 * np.abs(shift)))
         return _round_down(_round_down(s + _round_down(square)) - np.nextafter(r * r, np.inf))
-
-
-def _factorizes(stack: np.ndarray) -> np.ndarray:
-    """Whether each matrix of the stack has a floating-point Cholesky
-    factorization that runs to completion."""
-    try:
-        np.linalg.cholesky(stack)
-        return np.ones(len(stack), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    ok = np.zeros(len(stack), dtype=bool)
-    for i, m in enumerate(stack):
-        try:
-            np.linalg.cholesky(m)
-            ok[i] = True
-        except np.linalg.LinAlgError:
-            pass
-    return ok
 
 
 def _proved_floors(red: _Reduction, t, r, estimate) -> np.ndarray:

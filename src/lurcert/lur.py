@@ -188,7 +188,8 @@ def joint_moments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The real arrays of <J_i> and of <J_i^2> on a bipartite state: the
     real parts of the traces, Re Tr(rho O) = Tr(rho_H O) for a Hermitian O,
-    so the moments of the Hermitian part rho_H = (rho + rho^H)/2.
+    so the moments of the Hermitian part rho_H = (rho + rho^H)/2, the
+    matrix whose trace and positivity validation judged.
 
     Both are linear in ``rho``, so the moments of a mixture are the same
     mixture of its components' moments.

@@ -56,10 +56,13 @@ class DensityMatrix:
     ``dims`` is ``(d,)`` for a single system or ``(d_a, d_b)`` for a
     bipartite one, in Python or numpy integers.  The stored matrix is kept
     exactly as supplied, so file round trips are bit-exact.  ``tolerance``
-    (None for ``DEFAULT_TOLERANCE``) bounds the deviations from
-    Hermiticity and from unit trace, and minus it is the floor for the
-    smallest eigenvalue.  The constructors of this module whose output is
-    valid by construction store it through ``_adopt`` instead, unchecked.
+    (None for ``DEFAULT_TOLERANCE``) bounds the deviation from
+    Hermiticity; trace and positivity are judged on the Hermitian part
+    rho_H = (rho + rho^H)/2, whose moments ``certify`` reads: its trace is
+    within the tolerance of 1, and minus the tolerance is the floor for
+    its smallest eigenvalue.  The constructors of this module whose output
+    is valid by construction store it through ``_adopt`` instead,
+    unchecked.
     """
 
     matrix: np.ndarray
@@ -75,8 +78,12 @@ class DensityMatrix:
         except InvalidParameterError:
             tol = math.nan
         if not 0 < tol < math.inf:
+            try:
+                shown = repr(tolerance)
+            except ValueError:  # an integer past the digit limit of str()
+                shown = "a number too long to print"
             raise InvalidParameterError(
-                f"validation tolerance must be a finite number above zero, got {tolerance!r}"
+                f"validation tolerance must be a finite number above zero, got {shown}"
             )
         m = linalg.as_square_matrix(self.matrix)
         dims = _matched_dims(self.dims, m.shape[0])
@@ -85,29 +92,29 @@ class DensityMatrix:
         # in real arithmetic.  The deviation is the same number on either
         # path.
         checked = _real_if_real(m)
-        dev = linalg.hermiticity_deviation(checked)
+        difference = linalg._difference(checked)
+        dev = float(np.abs(difference).max())
         if dev > tol:
             raise NotHermitianError(
                 f"state deviates from Hermiticity by {dev:.3e} (tolerance {tol:.1e})"
             )
+        # Trace and positivity are judged on rho_H = (rho + rho^H)/2, the
+        # matrix whose moments certify reads.  A Cholesky factorization
+        # that completes proves the floor -tol, at a fraction of the cost
+        # of an eigensolve; when it fails the smallest eigenvalue decides.
         tr = m.trace()
-        if abs(tr - 1.0) > tol:
+        if abs(tr.real - 1.0) > tol:
             raise TraceNotOneError(f"state trace is {tr:.17g}, expected 1")
-        # Accept when rho + tol*1 has a Cholesky factor, at a fraction of
-        # the cost of an eigensolve; both read the lower triangle.  When the
-        # factorization fails the smallest eigenvalue decides against the
-        # floor -tol, as it always has.  The copy is C-ordered so that its
-        # flat view steps along the diagonal.
-        shifted = np.array(checked, order="C")
-        shifted.reshape(-1)[:: shifted.shape[0] + 1] += tol
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            least = np.linalg.eigvalsh(checked)[0]
+        if not linalg._proves_floor(linalg._hermitian_part(checked, difference), tol):
+            # the proof shifted that rho_H in place: the spectrum is taken
+            # of a second one, formed the same way
+            del difference
+            hermitian = linalg._hermitian_part(checked, linalg._difference(checked))
+            least = np.linalg.eigvalsh(hermitian)[0]
             if least < -tol:
                 raise NotPositiveError(
                     f"state is not positive semidefinite: min eigenvalue {least:.3e}"
-                ) from None
+                )
 
         # C-ordered, whatever the input's layout, so that the codec can view
         # each row as its (re, im) doubles

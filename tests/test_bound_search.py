@@ -327,7 +327,7 @@ def random_hermitian_set(rng, dim, count):
     return OperatorSet("random", tuple(ops))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3")
 def test_a_search_bound_is_never_above_the_minimum():
     # two restarts agree with themselves and report confidence, yet their
     # minimum 0.4408 is an upper estimate: 64 restarts find 0.2853, and

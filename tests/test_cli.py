@@ -489,7 +489,7 @@ def test_wellformed_bound_file_certifies(tmp_path, capsys):
     assert "bounds analytic, analytic" in capsys.readouterr().out
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3")
 def test_a_file_bound_above_the_minimum_is_refused(tmp_path, capsys):
     # spin-1/2 L_x, L_y, L_z sum to 1/2 at least; a file that claims 3/4 as
     # "analytic" is taken on trust, and |up up> (total 1 < 3/2) is called

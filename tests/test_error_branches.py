@@ -20,6 +20,7 @@ from lurcert.states import (
     family_components,
     family_weights,
     matrix_from_rows,
+    validate,
 )
 from lurcert.uncertainty import UncertaintyRelation
 
@@ -162,6 +163,12 @@ def test_an_operator_set_is_one_dimension():
             lambda: family_weights("thermal", (0.5,)),
             "unknown family kind 'thermal'",
             id="family-weights-kind",
+        ),
+        # its repr would pass the digit limit of int-to-str conversion
+        pytest.param(
+            lambda: validate(np.eye(2) / 2, (2,), 10**5000),
+            "validation tolerance must be a finite number above zero, got a number too long to print",
+            id="huge-tolerance",
         ),
     ],
 )

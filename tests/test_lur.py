@@ -303,7 +303,7 @@ def test_no_false_positives_on_product_states(relation):
             assert cert.total >= joint.local_limit - 1e-9
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
 def test_no_false_positive_within_the_positivity_floor():
     # (1 + d)|aa><aa| - d 1/4, a the qubit coherent state along
     # (1,1,1)/sqrt(3): |aa> sits on the l3 limit, and the eigenvalue

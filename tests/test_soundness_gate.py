@@ -38,6 +38,11 @@ and under ``LURCERT_VALIDATION_TOL=1e-3``, on the l3 and s3 limits:
   of each moment, Re Tr(rho' J) = Tr(P J), so the class is never called
   ENTANGLED and never refused, and (b) holds for it.
 
+Under (b) also, ``TestSkewedPureStates`` validates 200 random 4 x 4 pure
+states plus an anti-Hermitian part of 0.49 eps off the diagonal at eps =
+1e-3, in process: positivity is judged on rho_H, which is the pure state,
+so none is refused and each certifies as the pure state does.
+
 Two classes certify against bound files, each through the in-process
 ``cli.main``:
 
@@ -366,6 +371,49 @@ def test_a_state_with_an_anti_hermitian_part_that_was_read_is_never_refused(
     if cli_exit(case, "l3", monkeypatch, capsys) == cli.EXIT_VALIDATION:
         refused.append((None, case.name, "cli l3", "exit 2"))
     assert not refused, f"{len(refused)} refusals of states that read_state accepted, first {refused[:4]}"
+
+
+# random 4 x 4 pure states, each plus an anti-Hermitian K off the diagonal
+SKEWED_PURE_CASES = 200
+SKEW_TOLERANCE = 1e-3
+
+
+class TestSkewedPureStates:
+    """Random 4 x 4 pure states P (``default_rng(3)``), each plus an
+    anti-Hermitian K with |K_jk| = 0.49 eps off the diagonal and random
+    phases, at eps = 1e-3.  rho_H = P, so positivity judged on rho_H
+    accepts every case, and each certifies as P does; judged on the lower
+    triangle, 44 of them were refused."""
+
+    @pytest.fixture(scope="class")
+    def skewed_pure(self):
+        rng = np.random.default_rng(3)
+        upper = np.triu_indices(4, 1)
+        cases = []
+        for _ in range(SKEWED_PURE_CASES):
+            ket = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            ket /= np.linalg.norm(ket)
+            k = np.zeros((4, 4), dtype=complex)
+            k[upper] = 0.49 * SKEW_TOLERANCE * np.exp(2j * np.pi * rng.random(upper[0].size))
+            k -= k.conj().T
+            cases.append((np.outer(ket, ket.conj()), k))
+        return cases
+
+    def test_a_skewed_pure_state_is_never_refused(self, skewed_pure):
+        refused = []
+        for index, (product, k) in enumerate(skewed_pure):
+            try:
+                validate(product + k, (2, 2), SKEW_TOLERANCE)
+            except LurcertError as exc:
+                refused.append((index, exc.code))
+        assert not refused, f"{len(refused)} refusals of states whose Hermitian part is pure, first {refused[:4]}"
+
+    def test_a_skewed_pure_state_certifies_as_its_hermitian_part(self, skewed_pure):
+        joint = joint_from_catalog("l3", 2, 2)
+        for product, k in skewed_pure:
+            total = certify(validate(product, (2, 2)), joint).total
+            skewed = certify(validate(product + k, (2, 2), SKEW_TOLERANCE), joint).total
+            assert abs(skewed - total) <= 1e-12 * max(1.0, abs(total))
 
 
 def run_cli(argv: list) -> tuple[int, str]:

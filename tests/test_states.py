@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from lurcert.linalg import (
     InvalidParameterError,
     NotHermitianError,
 )
+from lurcert.lur import certify, joint_from_catalog
 from lurcert.spin_ops import SpinQuantum, spin_components
 from lurcert.states import (
     DensityMatrix,
@@ -313,19 +315,57 @@ def test_factorization_decides_as_eigvalsh_at_the_floor(dim, real):
 
 
 @pytest.mark.parametrize("phase", [1.0, np.exp(0.7j)], ids=["real", "complex"])
-def test_the_lower_triangle_decides_as_eigvalsh_reads_it(phase):
+def test_both_triangles_get_the_decision_of_the_hermitian_part(phase):
     floor = -DEFAULT_TOLERANCE
     inside = 0.5 - floor - 1e-12  # lambda_min = floor + 1e-12
-    outside = inside + 5e-10  # lambda_min = floor - 5e-10 + 1e-12
-    for lower, upper in ((inside, outside), (outside, inside)):
-        m = np.array([[0.5, np.conj(upper * phase)], [lower * phase, 0.5]])
-        assert 0 < np.abs(m - m.conj().T).max() <= DEFAULT_TOLERANCE
-        # the two triangles disagree about positivity ...
-        assert bool(np.linalg.eigvalsh(m, UPLO="U")[0] >= floor) is (upper == inside)
-        # ... and validation sides with eigvalsh, which reads the lower one
-        expected = eigvalsh_rule(m, floor)
-        assert expected[0] is (lower == inside)
-        assert positivity_decision(m) == expected
+    # rho_H 2e-10 inside the floor and 2e-10 outside it, each with triangles
+    # 4e-10 on either side of it
+    for mean in (inside - 2e-10, inside + 2e-10):
+        for lower, upper in ((mean + 4e-10, mean - 4e-10), (mean - 4e-10, mean + 4e-10)):
+            m = np.array([[0.5, np.conj(upper * phase)], [lower * phase, 0.5]])
+            assert 0 < np.abs(m - m.conj().T).max() <= DEFAULT_TOLERANCE
+            # the two triangles disagree about positivity ...
+            by_triangle = [np.linalg.eigvalsh(m, UPLO=uplo)[0] >= floor for uplo in "LU"]
+            assert by_triangle == [lower < inside, upper < inside]
+            # ... and validation decides as eigvalsh does on rho_H
+            expected = eigvalsh_rule((m + m.conj().T) / 2, floor)
+            assert expected[0] is (mean < inside)
+            assert positivity_decision(m) == expected
+
+
+def antisymmetric(dim, below):
+    """The real antisymmetric matrix with ``below`` below the diagonal."""
+    return below * (np.tril(np.ones((dim, dim)), -1) - np.triu(np.ones((dim, dim)), 1))
+
+
+def test_a_hermitian_part_below_the_floor_is_refused():
+    # rho = A - c eps uu^T + K with A >= 0, Au = 0 and Tr A = 1 + c eps, so
+    # rho_H has least eigenvalue -c eps; the completion of rho's lower
+    # triangle adds 0.98 eps along u, which at c = 1.5 puts it inside the
+    # floor that rho_H is outside
+    eps = 1e-3
+    u = np.ones(3) / np.sqrt(3)
+    for c in (1.5, 3.0):
+        a = (np.eye(3) - np.outer(u, u)) * (1 + c * eps) / 2
+        rho = a - c * eps * np.outer(u, u) + antisymmetric(3, 0.49 * eps)
+        assert bool(np.linalg.eigvalsh(rho, UPLO="L")[0] >= -eps) is (c == 1.5)
+        with pytest.raises(NotPositiveError) as err:
+            validate(rho, (3,), eps)
+        assert str(err.value) == f"state is not positive semidefinite: min eigenvalue {-c * eps:.3e}"
+
+
+def test_a_product_with_an_antisymmetric_part_certifies_as_the_product():
+    # |0> (x) |-> plus K = -K^T of 0.49e-3 off the diagonal: rho_H is the
+    # product, though rho's lower triangle has least eigenvalue -1.47e-3
+    eps = 1e-3
+    ket = np.array([1.0, -1.0, 0.0, 0.0]) / np.sqrt(2)
+    product = np.outer(ket, ket)
+    rho = product - antisymmetric(4, 0.49 * eps)
+    assert np.linalg.eigvalsh(rho)[0] < -eps
+    joint = joint_from_catalog("l3", 2, 2)
+    total = certify(validate(product, (2, 2)), joint).total
+    skewed = certify(validate(rho, (2, 2), eps), joint).total
+    assert abs(skewed - total) <= 1e-12 * max(1.0, abs(total))
 
 
 def test_eigvalsh_decides_where_the_factorization_fails(monkeypatch):
@@ -356,6 +396,18 @@ def test_eigvalsh_decides_where_the_factorization_fails(monkeypatch):
         decisions.append(expected)
     assert [accepted for accepted, _ in decisions] == [True] * 4 + [False] * 3
     assert decisions[-1][1] == "state is not positive semidefinite: min eigenvalue -2.000e-01"
+
+
+@pytest.mark.parametrize("phase", [1.0, 1j], ids=["real", "complex"])
+def test_huge_entries_are_refused_without_a_warning(phase):
+    # Hermitian with trace 1, and eigenvalues 0.5 -+ 1e308: rho_H is formed
+    # from the differences, never as the overflowing rho + rho^H
+    m = np.array([[0.5, 1e308 * np.conj(phase)], [1e308 * phase, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotPositiveError) as err:
+            validate(m, (2,))
+    assert str(err.value) == "state is not positive semidefinite: min eigenvalue -1.000e+308"
 
 
 def test_not_positive_message_is_unchanged():
