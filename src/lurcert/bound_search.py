@@ -347,19 +347,27 @@ class _Reduction:
         ops = _complex_stack(operator_set)
         self.stack = _real_blocks(ops)
         self.q, self.a = ops[0], ops[1]
-        # Q and A, real or in block form
-        pair = self.stack[:2] if ops[:2].imag.any() else ops[:2].real.copy()
+        # One pass of moduli gives the largest absolute row sum of Q and of
+        # each A_i, and the diagonals of Q and A.
+        moduli = np.abs(ops)
+        q_norm, *norms = moduli.sum(axis=-1).max(axis=-1).tolist()
+        q_trace, a_trace = np.diagonal(moduli[:2], axis1=1, axis2=2).sum(axis=-1).tolist()
+        # Q and A as factored, with their row sums: the real parts, whose
+        # moduli are those of the complex entries with imaginary parts 0,
+        # or the block form, whose rows hold |Re| and |Im| of a row each
+        if np.count_nonzero(ops[:2].imag):
+            pair = self.stack[:2]
+            qr_norm, ar_norm = np.abs(pair).sum(axis=-1).max(axis=-1).tolist()
+        else:
+            pair = ops[:2].real.copy()
+            qr_norm, ar_norm = q_norm, norms[0]
         self.qr = pair[0]
         # 2t A and t (2A) round alike
         self.ar2 = 2 * pair[1]
         size, dim = pair.shape[1], operator_set.dim
         alpha = _demmel(size)
         form = _gamma(2 * dim + 2 * len(operator_set) + 16)
-        # largest absolute row sums: of each A_i, and of Q and A as factored
-        norms = np.abs(ops[1:]).sum(axis=-1).max(axis=-1).tolist()
         p = sum(n**2 for n in norms)
-        qr_norm, ar_norm = np.abs(pair).sum(axis=-1).max(axis=-1).tolist()
-        q_trace, a_trace = np.abs(np.diagonal(ops[:2], axis1=1, axis2=2)).sum(axis=-1).tolist()
         copies = size // dim
         widen = 1 + 1e-6
         # allowance(t, shift) = c0 + c1 |t| + c2 |shift|
@@ -383,25 +391,43 @@ class _Reduction:
 
 
 def _proved_floors(red: _Reduction, t, r, estimate) -> np.ndarray:
-    """Proven box lower bounds; -inf for a box that no retry proves."""
-    floors = np.full(t.size, -np.inf)
-    # the boxes not yet proved, and their t, |t|, r, estimate and delta
-    pending = np.arange(t.size)
+    """Proven lower bounds of the boxes with midpoints ``t``, radii ``r``
+    (one for all, or one per box) and eigenvalue estimates ``estimate``;
+    -inf for a box that no retry proves.
+
+    Every box is first factored at the shift estimate - (d0 + d1 |t|), in
+    one stack, and when each factorization completes their floors are
+    returned as they are.  A box that fails retries alone, its shift
+    widened by SHIFT_WIDENING each time, at most CHOLESKY_RETRIES times.
+    """
     abs_t = np.abs(t)
     delta = red.d0 + red.d1 * abs_t
-    for _ in range(CHOLESKY_RETRIES + 1):
-        shift = estimate - delta
-        stack = red.matrices(t)
-        diagonal = np.einsum("bii->bi", stack)
-        diagonal -= shift[:, None]
-        ok = _factorizes(stack)
-        proved = red.floors(shift, abs_t, t * t, r)
-        floors[pending] = np.where(ok, proved, -np.inf)
+    ok, floors = _shifted_floors(red, t, abs_t, r, estimate - delta)
+    if ok.all():
+        return floors
+    failed = ~ok
+    floors[failed] = -np.inf
+    # the boxes not yet proved, and their t, |t|, r, estimate and delta
+    pending = np.flatnonzero(failed)
+    r = np.broadcast_to(r, t.shape)
+    t, abs_t, r, estimate, delta = (v[pending] for v in (t, abs_t, r, estimate, delta))
+    for _ in range(CHOLESKY_RETRIES):
+        delta *= SHIFT_WIDENING
+        ok, proved = _shifted_floors(red, t, abs_t, r, estimate - delta)
+        floors[pending[ok]] = proved[ok]
         if ok.all():
             break
         pending, t, abs_t, r, estimate, delta = (v[~ok] for v in (pending, t, abs_t, r, estimate, delta))
-        delta *= SHIFT_WIDENING
     return floors
+
+
+def _shifted_floors(red: _Reduction, t, abs_t, r, shift) -> tuple[np.ndarray, np.ndarray]:
+    """Whether Q - 2tA - shift 1 factorizes for each box, and each box's
+    floor at ``shift``, which holds only where it does."""
+    stack = red.matrices(t)
+    diagonal = np.einsum("bii->bi", stack)
+    diagonal -= shift[:, None]
+    return _factorizes(stack), red.floors(shift, abs_t, t * t, r)
 
 
 def interval_minimum(operator_set: OperatorSet, reach: float) -> IntervalResult:
@@ -430,7 +456,12 @@ def interval_minimum(operator_set: OperatorSet, reach: float) -> IntervalResult:
     is the sum at the eigenvector of Q - 2tA at the best t evaluated, plus
     the bound on the rounding of that evaluation.  ``lower`` is max(0, the
     least final box bound s + t^2 - r^2), where each s is proved by a
-    Cholesky factorization of Q - 2tA - s 1 (see ``_Reduction``).
+    Cholesky factorization of Q - 2tA - s 1 (see ``_Reduction``).  The
+    final boxes of all levels are proved together by ``_proved_floors``,
+    with one radius when they come from a single level and one per box
+    otherwise.  A search makes one ``eigvalsh`` per level, one ``eigh`` for
+    the eigenvector, and one stacked factorization when every final box
+    is proved at its first shift.
     """
     if not (reach >= 0 and float(2 * reach).is_integer()):
         raise InvalidParameterError(f"reach must be a nonnegative multiple of 1/2, got {reach!r}")
@@ -441,8 +472,9 @@ def interval_minimum(operator_set: OperatorSet, reach: float) -> IntervalResult:
     r = (hi - lo) / 2
     points = np.array([t[0], lo, hi])
     upper, best = np.inf, hi
-    # each level's final boxes: their midpoints, estimates and common r
-    final_t, final_estimate, final_r = [], [], []
+    # the midpoints, estimates and common r of the final boxes of each
+    # level that keeps one
+    finals = []
     boxes = 0
     for level in range(MAX_LEVELS):
         estimate = np.linalg.eigvalsh(red.matrices(points))[:, 0]
@@ -464,19 +496,22 @@ def interval_minimum(operator_set: OperatorSet, reach: float) -> IntervalResult:
             shift = estimate - (red.d0 + red.d1 * abs_t)
             split = red.floors(shift, abs_t, square, r) < upper + red.e0 - tol
             count = np.count_nonzero(split)
-        stop = count == 0 or BOX_SPLIT * count > MAX_LEVEL_BOXES
-        final = slice(None) if stop else ~split
-        final_t.append(t[final])
-        final_estimate.append(estimate[final])
-        final_r.append(r)
-        if stop:
+        if count == 0 or BOX_SPLIT * count > MAX_LEVEL_BOXES:
+            finals.append((t, estimate, r))
             break
+        if count < t.size:
+            final = ~split
+            finals.append((t[final], estimate[final], r))
         r /= BOX_SPLIT
         t = (t[split, None] + r * _CHILD_OFFSETS).ravel()
         points = t
 
-    r = np.repeat(final_r, [part.size for part in final_t])
-    t, estimate = np.concatenate(final_t), np.concatenate(final_estimate)
+    if len(finals) == 1:
+        t, estimate, r = finals[0]
+    else:
+        midpoints, estimates, radii = zip(*finals)
+        r = np.repeat(radii, [part.size for part in midpoints])
+        t, estimate = np.concatenate(midpoints), np.concatenate(estimates)
     lower = max(0.0, float(_proved_floors(red, t, r, estimate).min()))
     argmin = PureState.canonical(np.linalg.eigh(red.q - 2 * best * red.a)[1][:, 0])
     # the sum as the descent evaluates it, at the state's real coordinates

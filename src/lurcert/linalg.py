@@ -63,22 +63,49 @@ def tolerance_from_env() -> float:
     return eps
 
 
-def as_square_matrix(data) -> np.ndarray:
-    """Coerce to a complex square matrix, rejecting non-finite entries."""
+# Entries of modulus below 2^1021 differ by less than 2^1022 in each part,
+# so no difference of two of them, nor its modulus, passes the float range.
+_MODERATE = 2.0**1021
+
+
+def _coerced(data) -> tuple[np.ndarray, bool]:
+    """``as_square_matrix(data)``, and whether every entry's modulus is
+    below ``_MODERATE``.  One pass of moduli answers that and, when it
+    holds, finiteness too; only a matrix with a large or non-finite entry
+    is checked for finiteness on its own."""
     m = np.asarray(data, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    # count_nonzero, at a fraction of the call cost of the .all() reduction
-    if np.count_nonzero(np.isfinite(m)) < m.size:
+    # count_nonzero, at a fraction of the call cost of the .all() reduction;
+    # NaN compares below nothing
+    moderate = np.count_nonzero(np.abs(m) < _MODERATE) == m.size
+    if not moderate and np.count_nonzero(np.isfinite(m)) < m.size:
         raise InvalidParameterError("matrix entries must be finite")
-    return m
+    return m, moderate
 
 
-def _difference(a: np.ndarray) -> np.ndarray:
-    """The differences ``a - a^H`` of the square array ``a``, in one fresh
-    C-ordered array.  A complex ``a`` is conjugated and transposed into it
-    in one pass, which the differences then overwrite, so that with a
-    C-ordered ``a`` every later pass over it runs in step with ``a``."""
+def as_square_matrix(data) -> np.ndarray:
+    """Coerce to a complex square matrix, rejecting non-finite entries."""
+    return _coerced(data)[0]
+
+
+def _difference(a: np.ndarray, moderate: bool = False) -> np.ndarray:
+    """The differences ``a - a^H`` of the square array ``a`` of finite
+    entries, in one fresh C-ordered array.  A complex ``a`` is conjugated
+    and transposed into it in one pass, which the differences then
+    overwrite, so that with a C-ordered ``a`` every later pass over it runs
+    in step with ``a``.
+
+    Two finite entries can differ by more than the float range; the
+    difference is then infinite, and so is the deviation, which every
+    tolerance refuses.  Unless ``moderate`` says that every entry is below
+    ``_MODERATE``, numpy's overflow warning, an exception under
+    ``python -W error``, is switched off while the differences are formed
+    (about 1.3 us a call).
+    """
+    if not moderate:
+        with np.errstate(over="ignore"):
+            return _difference(a, True)
     if a.dtype.kind != "c":
         return np.subtract(a, a.T, order="C")
     d = np.conjugate(a.T, order="C")
@@ -88,10 +115,20 @@ def _difference(a: np.ndarray) -> np.ndarray:
 def hermiticity_deviation(a: np.ndarray) -> float:
     """Max entrywise deviation of the square array ``a`` from its conjugate
     transpose.  ``a`` is used as given: coerce it with ``as_square_matrix``
-    first."""
-    d = _difference(a)
-    # real differences are overwritten by their moduli
-    return float(np.abs(d, out=d if d.dtype.kind != "c" else None).max())
+    first.  An overflowing difference is an infinite deviation (see
+    ``_difference``)."""
+    return _largest_modulus(_difference(a))
+
+
+def _largest_modulus(difference: np.ndarray) -> float:
+    """The largest modulus of the entries of ``difference`` =
+    ``_difference(a)``.  A real one is antisymmetric to the bit, since
+    fl(x - y) = -fl(y - x), so its largest entry is that modulus.  The
+    modulus of a complex entry past the float range is inf, which numpy
+    computes without a warning."""
+    if difference.dtype.kind != "c":
+        return float(difference.max())
+    return float(np.abs(difference).max())
 
 
 def _hermitian_part(a: np.ndarray, difference: np.ndarray) -> np.ndarray:

@@ -46,7 +46,14 @@ class SpinQuantum:
 
 @dataclass(frozen=True, eq=False)
 class OperatorSet:
-    """Ordered set of Hermitian operators whose variances are summed."""
+    """Ordered set of Hermitian operators whose variances are summed.
+
+    ``OperatorSet(...)`` checks each operator for Hermiticity within the
+    default tolerance and stores a read-only complex copy; the operators of
+    bound and operator files come through it.  The spin and Stokes sets of
+    this module are exactly Hermitian by construction and are handed over
+    through ``_adopt`` instead.
+    """
 
     label: str
     operators: tuple[np.ndarray, ...]
@@ -66,6 +73,38 @@ class OperatorSet:
                     f"{self.label}[{i}] has dimension {op.shape[0]}, expected {dim}"
                 )
         object.__setattr__(self, "operators", tuple(ops))
+
+    @classmethod
+    def _adopt(cls, label: str, operators: tuple[np.ndarray, ...]) -> "OperatorSet":
+        """The set of ``operators``, with no check and no copy.
+
+        The one hand-over path of ``spin_components``, ``stokes_components``,
+        ``spin_subset`` and ``stokes_subset``, whose operators are exactly
+        Hermitian, entry for entry:
+
+        - L_+ is real, so L_- = L_+^H is its transpose with imaginary parts
+          -0;
+        - L_x = (L_+ + L_-)/2 adds each pair of mirrored entries, in either
+          order, and halves the sum, so it is real and exactly symmetric;
+        - L_y = (L_+ - L_-)/2i divides a real antisymmetric matrix by 2i,
+          which in numpy's complex division only halves each entry's parts
+          and swaps them, the real part moving negated to the imaginary
+          part, so L_y is imaginary and exactly antisymmetric, hence
+          Hermitian;
+        - L_z is a real diagonal;
+        - a Stokes operator doubles one of these, which is exact.
+
+        ``operators`` is a nonempty tuple of fresh C-ordered complex arrays
+        of one size that no caller holds; each is marked read-only and
+        stored as it is.  Every input from outside goes through
+        ``OperatorSet(...)`` instead.
+        """
+        for op in operators:
+            op.setflags(write=False)
+        op_set = object.__new__(cls)
+        object.__setattr__(op_set, "label", label)
+        object.__setattr__(op_set, "operators", operators)
+        return op_set
 
     @property
     def dim(self) -> int:
@@ -89,14 +128,17 @@ def ladder_raising(spin: SpinQuantum) -> np.ndarray:
     return op
 
 
-def _spin_matrices(spin: SpinQuantum) -> tuple[np.ndarray, ...]:
-    """L_x, L_y and L_z as complex arrays, not yet validated."""
+def _spin_matrices(spin: SpinQuantum, axes: tuple[int, ...] = (0, 1, 2)) -> tuple[np.ndarray, ...]:
+    """The components L_x, L_y and L_z numbered 0, 1 and 2 in ``axes``, in
+    that order, as fresh complex arrays; only these are built."""
     lp = ladder_raising(spin)
     lm = lp.conj().T
-    lx = (lp + lm) / 2
-    ly = (lp - lm) / 2j
-    lz = np.diag(spin.m_values()).astype(complex)
-    return lx, ly, lz
+    build = (
+        lambda: (lp + lm) / 2,
+        lambda: (lp - lm) / 2j,
+        lambda: np.diag(spin.m_values()).astype(complex),
+    )
+    return tuple(build[axis]() for axis in axes)
 
 
 def _photon_number(n) -> int:
@@ -109,20 +151,21 @@ def _photon_number(n) -> int:
     return int(n)
 
 
-def _stokes_matrices(n_photons: int) -> tuple[np.ndarray, ...]:
-    """S_1, S_2 and S_3 = 2L_x, 2L_y and 2L_z at l = n/2, not yet validated."""
-    return tuple(2 * op for op in _spin_matrices(SpinQuantum(_photon_number(n_photons))))
+def _stokes_matrices(n_photons: int, axes: tuple[int, ...] = (0, 1, 2)) -> tuple[np.ndarray, ...]:
+    """The Stokes operators S_1, S_2 and S_3 = 2L_x, 2L_y and 2L_z at
+    l = n/2 numbered 0, 1 and 2 in ``axes``, in that order."""
+    return tuple(2 * op for op in _spin_matrices(SpinQuantum(_photon_number(n_photons)), axes))
 
 
 def spin_components(spin: SpinQuantum) -> OperatorSet:
     """Angular momentum components {L_x, L_y, L_z} of a spin-l system."""
-    return OperatorSet(label=f"L(l={spin})", operators=_spin_matrices(spin))
+    return OperatorSet._adopt(f"L(l={spin})", _spin_matrices(spin))
 
 
 def stokes_components(n_photons: int) -> OperatorSet:
     """Stokes operators {S_1, S_2, S_3} = {2L_x, 2L_y, 2L_z} of an n-photon
     polarization state (dimension n + 1; Pauli matrices at n = 1)."""
-    return OperatorSet(label=f"S(n={n_photons})", operators=_stokes_matrices(n_photons))
+    return OperatorSet._adopt(f"S(n={n_photons})", _stokes_matrices(n_photons))
 
 
 _SPIN_AXES = {"x": 0, "y": 1, "z": 2}
@@ -131,17 +174,19 @@ _STOKES_AXES = {"1": 0, "2": 1, "3": 2}
 
 def spin_subset(spin: SpinQuantum, axes: str) -> OperatorSet:
     """Subset of spin components, e.g. ``axes="xy"`` for {L_x, L_y}."""
-    picked = _pick(_spin_matrices(spin), axes, _SPIN_AXES)
-    return OperatorSet(label=f"L{{{','.join(axes)}}}(l={spin})", operators=picked)
+    picked = _spin_matrices(spin, _picked(axes, _SPIN_AXES))
+    return OperatorSet._adopt(f"L{{{','.join(axes)}}}(l={spin})", picked)
 
 
 def stokes_subset(n_photons: int, components: str) -> OperatorSet:
     """Subset of Stokes components, e.g. ``components="12"`` for {S_1, S_2}."""
-    picked = _pick(_stokes_matrices(n_photons), components, _STOKES_AXES)
-    return OperatorSet(label=f"S{{{','.join(components)}}}(n={n_photons})", operators=picked)
+    n_photons = _photon_number(n_photons)  # refused before the components
+    picked = _stokes_matrices(n_photons, _picked(components, _STOKES_AXES))
+    return OperatorSet._adopt(f"S{{{','.join(components)}}}(n={n_photons})", picked)
 
 
-def _pick(full: tuple[np.ndarray, ...], names: str, table: dict[str, int]) -> tuple[np.ndarray, ...]:
+def _picked(names: str, table: dict[str, int]) -> tuple[int, ...]:
+    """The component numbers of ``names`` in ``table``, in order."""
     if not names:
         raise InvalidParameterError("component subset must not be empty")
     seen = set()
@@ -152,5 +197,5 @@ def _pick(full: tuple[np.ndarray, ...], names: str, table: dict[str, int]) -> tu
         if name in seen:
             raise InvalidParameterError(f"component {name!r} repeated")
         seen.add(name)
-        picked.append(full[table[name]])
+        picked.append(table[name])
     return tuple(picked)

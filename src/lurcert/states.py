@@ -85,15 +85,15 @@ class DensityMatrix:
             raise InvalidParameterError(
                 f"validation tolerance must be a finite number above zero, got {shown}"
             )
-        m = linalg.as_square_matrix(self.matrix)
+        m, moderate = linalg._coerced(self.matrix)
         dims = _matched_dims(self.dims, m.shape[0])
 
         # With no imaginary part, Hermitian means real symmetric: check it
         # in real arithmetic.  The deviation is the same number on either
         # path.
         checked = _real_if_real(m)
-        difference = linalg._difference(checked)
-        dev = float(np.abs(difference).max())
+        difference = linalg._difference(checked, moderate)
+        dev = linalg._largest_modulus(difference)
         if dev > tol:
             raise NotHermitianError(
                 f"state deviates from Hermiticity by {dev:.3e} (tolerance {tol:.1e})"
@@ -104,12 +104,12 @@ class DensityMatrix:
         # of an eigensolve; when it fails the smallest eigenvalue decides.
         tr = m.trace()
         if abs(tr.real - 1.0) > tol:
-            raise TraceNotOneError(f"state trace is {tr:.17g}, expected 1")
+            raise TraceNotOneError(f"state trace is {tr.real:.17g}, expected 1")
         if not linalg._proves_floor(linalg._hermitian_part(checked, difference), tol):
             # the proof shifted that rho_H in place: the spectrum is taken
             # of a second one, formed the same way
             del difference
-            hermitian = linalg._hermitian_part(checked, linalg._difference(checked))
+            hermitian = linalg._hermitian_part(checked, linalg._difference(checked, moderate))
             least = np.linalg.eigvalsh(hermitian)[0]
             if least < -tol:
                 raise NotPositiveError(
@@ -229,6 +229,14 @@ def _phase_turned(amps: np.ndarray) -> np.ndarray:
     return amps * (lead.conjugate() / abs(lead))
 
 
+def _check_unit_norm(amps: np.ndarray) -> None:
+    """Refuse the finite amplitudes ``amps`` unless their norm is within
+    1e-12 of 1."""
+    norm = np.linalg.norm(amps)
+    if abs(norm - 1.0) > _NORM_TOL:
+        raise InvalidParameterError(f"state vector norm is {norm:.17g}, expected 1")
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class PureState:
     """Unit-norm state vector."""
@@ -239,9 +247,7 @@ class PureState:
         amps = _amplitudes(self.amplitudes)
         if amps.size < 1:
             raise InvalidParameterError("state vector must have at least one amplitude")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise InvalidParameterError(f"state vector norm is {norm:.17g}, expected 1")
+        _check_unit_norm(amps)
         amps = np.array(amps, dtype=complex)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -252,8 +258,17 @@ class PureState:
 
     @classmethod
     def canonical(cls, vector) -> "PureState":
-        """``normalized(vector).phase_normalized()``, validated once."""
-        return cls(_phase_turned(_unit(vector)))
+        """``normalized(vector).phase_normalized()``, with each check made
+        once: ``_unit`` refuses non-finite amplitudes and a zero norm, and
+        the turned unit vector, finite as the quotient of finite amplitudes
+        by their positive norm, must have norm 1 within 1e-12.  That vector
+        is a fresh array, so it is stored with no copy."""
+        amps = _phase_turned(_unit(vector))
+        _check_unit_norm(amps)
+        amps.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "amplitudes", amps)
+        return state
 
     @property
     def dim(self) -> int:

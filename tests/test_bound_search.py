@@ -1,5 +1,7 @@
 import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lurcert import bound_search, cli
+from lurcert import bound_search, cli, linalg
 from lurcert.bound_search import (
     ARMIJO,
     INTERVAL_TOLERANCE,
@@ -551,11 +553,12 @@ def exactly_above(axes, scale, two_l, t, floor):
 
 def final_boxes(op_set, reach):
     """``interval_minimum(op_set, reach)`` with its final boxes recorded:
-    the result, and the boxes' midpoints, radii and proved floors."""
+    the result, and the boxes' midpoints, radii and proved floors.  A
+    search whose final boxes share one radius passes it as a scalar."""
     calls = []
 
     def recording(red, t, r, estimate, prove=bound_search._proved_floors):
-        calls.append((t, r, prove(red, t, r, estimate)))
+        calls.append((t, np.broadcast_to(r, t.shape), prove(red, t, r, estimate)))
         return calls[-1][2]
 
     with mock.patch.object(bound_search, "_proved_floors", recording):
@@ -587,3 +590,53 @@ def test_final_boxes_cover_the_range_and_hold_exactly(family, axes):
         for c, w, floor in zip(t, r, floors):
             c, w = Fraction(c), Fraction(w)
             assert exactly_above("xyz" if len(axes) == 3 else "xy", scale, two_l, c, Fraction(floor) + w * w)
+
+
+def _counting(monkeypatch, owner, name, calls):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_the_interval_search_makes_each_numpy_call_once(monkeypatch):
+    # spin:xy at 2l = 2 evaluates six levels (1, 8, 8, 16, 8 and 16 boxes),
+    # proves every final box in one stack and takes one eigenvector
+    calls = {}
+    for name in ("eigvalsh", "eigh"):
+        _counting(monkeypatch, np.linalg, name, calls)
+    _counting(monkeypatch, bound_search, "_factorizes", calls)
+    op_set, reach = builtin_set("spin", "xy", 2)
+    assert interval_minimum(op_set, reach).boxes == 57
+    assert calls == {"eigvalsh": 6, "_factorizes": 1, "eigh": 1}
+
+
+def _count_hermiticity_checks(monkeypatch, calls):
+    """Count ``ensure_hermitian`` through every lurcert namespace that holds it."""
+    original = linalg.ensure_hermitian
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "lurcert" or module_name.startswith("lurcert."):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    _counting(monkeypatch, module, name, calls)
+
+
+def test_a_built_in_search_checks_no_operator(monkeypatch, capsys):
+    calls = {}
+    _count_hermiticity_checks(monkeypatch, calls)
+    assert cli.main(["search-bound", "--set", "spin:xy", "--two-l", "2"]) == 0
+    assert "interval: [" in capsys.readouterr().out
+    assert calls == {}
+
+
+def test_an_operator_file_search_checks_each_operator_once(monkeypatch, capsys):
+    calls = {}
+    _count_hermiticity_checks(monkeypatch, calls)
+    path = Path(__file__).parent / "data" / "spin1_xy_operators.json"
+    count = len(json.loads(path.read_text(encoding="utf-8"))["operators"])
+    assert cli.main(["search-bound", "--set", str(path), "--restarts", "2"]) == 0
+    capsys.readouterr()
+    assert calls == {"ensure_hermitian": count} and count == 2

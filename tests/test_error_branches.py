@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 from lurcert import cli
-from lurcert.linalg import DimensionMismatchError, InvalidParameterError
+from lurcert.linalg import DimensionMismatchError, InvalidParameterError, NotHermitianError
 from lurcert.lur import JointOperatorSet, build_joint
 from lurcert.spin_ops import OperatorSet, SpinQuantum, spin_components, spin_subset
 from lurcert.states import (
     PureState,
     StateFormatError,
+    TraceNotOneError,
     family_components,
     family_weights,
     matrix_from_rows,
@@ -267,3 +268,48 @@ def test_a_non_finite_ket_is_refused_before_any_warning(build, vector):
         with pytest.raises(InvalidParameterError) as exc:
             build(vector)
     assert str(exc.value) == "state vector amplitudes must be finite"
+
+
+# finite entries whose differences, or the modulus of one, pass the float range
+OVERFLOWING = {
+    "real-difference": np.array([[0.5, 1.7e308], [-1.7e308, 0.5]]),
+    "complex-difference": np.array([[0.5, 1.7e308j], [1.7e308j, 0.5]]),
+    "complex-modulus": np.array([[0.5, 1.3e308 + 1.3e308j], [0.0, 0.5]]),
+}
+
+
+@pytest.mark.parametrize("matrix", OVERFLOWING.values(), ids=OVERFLOWING.keys())
+def test_an_overflowing_deviation_is_refused_without_a_warning(matrix):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotHermitianError) as state:
+            validate(matrix, (2,))
+        with pytest.raises(NotHermitianError) as operator:
+            OperatorSet("big", (matrix,))
+    assert str(state.value) == "state deviates from Hermiticity by inf (tolerance 1.0e-09)"
+    assert str(operator.value) == "big[0] deviates from Hermiticity by inf (tolerance 1.0e-09)"
+
+
+@pytest.mark.parametrize("diagonal, shown", [
+    ([1.1, 0.0], "1.1000000000000001"),
+    ([0.6 + 4e-4j, 0.6 - 2e-4j], "1.2"),
+])
+def test_the_trace_message_prints_the_judged_real_part(diagonal, shown):
+    # only Re Tr rho = Tr rho_H is judged, so only it is printed; the
+    # diagonal's imaginary parts are within the tolerance given
+    with pytest.raises(TraceNotOneError) as exc:
+        validate(np.diag(diagonal), (2,), tolerance=1e-3)
+    assert str(exc.value) == f"state trace is {shown}, expected 1"
+
+
+@pytest.mark.parametrize("entry", [np.nextafter(2.0**1021, 0), np.nextafter(2.0**1021, 0) * np.exp(0.7j)])
+def test_the_largest_entries_checked_without_the_overflow_guard_differ_in_range(entry):
+    # below 2^1021 in modulus validation forms the differences with numpy's
+    # overflow warning on, and none of them, nor its modulus, overflows
+    matrix = np.array([[0.5, entry], [-np.conj(entry), 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotHermitianError) as exc:
+            validate(matrix, (2,))
+    assert str(exc.value) == f"state deviates from Hermiticity by {abs(2 * entry):.3e} (tolerance 1.0e-09)"
+    assert np.isfinite(abs(2 * entry))

@@ -4,10 +4,12 @@ checked and copied.
 
 Each handed-over state must pass ``validate`` at the default tolerance and
 keep its bytes there.  Each built spin or Stokes matrix, which
-``OperatorSet`` still checks, must be Hermitian to the bit.
+``OperatorSet._adopt`` hands over unchecked, must be Hermitian to the bit,
+and a file that holds such matrices is checked again when it is read.
 """
 
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lurcert import states
+from lurcert import cli, states
 from lurcert.linalg import InvalidParameterError, ensure_hermitian, hermiticity_deviation
 from lurcert.lur import closed_form_violation
 from lurcert.spin_ops import (
@@ -155,6 +157,46 @@ def test_built_spin_and_stokes_sets_are_hermitian_to_the_bit(two_l):
             assert hermiticity_deviation(op) == 0.0
             assert op.dtype == complex and op.shape == (two_l + 1, two_l + 1)
             assert not op.flags.writeable
+
+
+@pytest.mark.parametrize("two_l", [0, 1, 2, 5, 12, 63])
+def test_an_adopted_set_stores_what_the_checked_constructor_stores(two_l):
+    sets = [spin_components(SpinQuantum(two_l)), stokes_components(two_l)]
+    sets += [spin_subset(SpinQuantum(two_l), axes) for axes in SUBSETS]
+    for adopted in sets:
+        checked = OperatorSet(adopted.label, adopted.operators)
+        assert (checked.label, checked.dim, len(checked)) == (adopted.label, adopted.dim, len(adopted))
+        for kept, copied in zip(adopted, checked):
+            assert not kept.flags.writeable and not copied.flags.writeable
+            assert kept.dtype == copied.dtype and kept.shape == copied.shape
+            assert kept.tobytes() == copied.tobytes()
+    # the hand-over keeps the arrays it is given, marked read-only
+    fresh = (np.eye(2, dtype=complex), np.diag([1.0, -1.0]).astype(complex))
+    adopted = OperatorSet._adopt("fresh", fresh)
+    assert all(kept is given and not kept.flags.writeable for kept, given in zip(adopted, fresh))
+
+
+def test_a_file_of_built_operators_made_non_hermitian_is_refused(tmp_path, capsys):
+    # search-bound writes a built set's operators into its bound file; a
+    # bound file or an operator file with one entry broken is refused on
+    # the way back in, through OperatorSet(...)
+    bound = tmp_path / "bound.json"
+    assert cli.main(["search-bound", "--set", "spin:xy", "--two-l", "2", "--emit-bound", str(bound)]) == 0
+    state = tmp_path / "state.json"
+    assert cli.main(["state-gen", "--kind", "singlet", "--two-l", "2", "--out", str(state)]) == 0
+    assert cli.main(["certify", "--state", str(state), "--relation", str(bound)]) == 3
+    doc = json.loads(bound.read_text())
+    doc["operators"][1][0][1] = [0.0, 0.5]  # L_y[0, 1] made -L_y[1, 0]^*
+    bound.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for argv in (
+        ["certify", "--state", str(state), "--relation", str(bound)],
+        ["search-bound", "--set", str(bound), "--restarts", "2"],
+    ):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(("error[bound-file]:", "error[not-hermitian]:")), err
+        assert "L{x,y}(l=1)[1] deviates from Hermiticity" in err and len(err.splitlines()) == 1
 
 
 def test_a_callers_arrays_are_copied():

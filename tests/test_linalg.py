@@ -66,14 +66,15 @@ def test_as_square_matrix_rejects_bad_input():
 
 
 def test_matrices_are_coerced_once_per_check(monkeypatch):
+    # _coerced is the one coercion: as_square_matrix and validation call it
     calls = []
-    original = linalg.as_square_matrix
+    original = linalg._coerced
 
     def counting(data):
         calls.append(data)
         return original(data)
 
-    monkeypatch.setattr(linalg, "as_square_matrix", counting)
+    monkeypatch.setattr(linalg, "_coerced", counting)
     linalg.ensure_hermitian(np.eye(2))
     assert len(calls) == 1
     # a built state is handed over unchecked; validate checks it once
