@@ -390,19 +390,19 @@ class _Reduction:
         return _round_down(_round_down(s + _round_down(square)) - np.nextafter(r * r, np.inf))
 
 
-def _proved_floors(red: _Reduction, t, r, estimate) -> np.ndarray:
+def _proved_floors(red: _Reduction, t, r, estimate, shift, floors) -> np.ndarray:
     """Proven lower bounds of the boxes with midpoints ``t``, radii ``r``
     (one for all, or one per box) and eigenvalue estimates ``estimate``;
     -inf for a box that no retry proves.
 
-    Every box is first factored at the shift estimate - (d0 + d1 |t|), in
-    one stack, and when each factorization completes their floors are
-    returned as they are.  A box that fails retries alone, its shift
-    widened by SHIFT_WIDENING each time, at most CHOLESKY_RETRIES times.
+    ``shift`` is each box's first shift, estimate - (d0 + d1 |t|), and
+    ``floors`` its floor there, as the level loop computed them.  Every
+    box is first factored at that shift, in one stack, and when each
+    factorization completes ``floors`` is returned as it is.  A box that
+    fails retries alone, its shift widened by SHIFT_WIDENING each time,
+    at most CHOLESKY_RETRIES times.
     """
-    abs_t = np.abs(t)
-    delta = red.d0 + red.d1 * abs_t
-    ok, floors = _shifted_floors(red, t, abs_t, r, estimate - delta)
+    ok = _factorizes(_shifted(red, t, shift))
     if ok.all():
         return floors
     failed = ~ok
@@ -410,10 +410,14 @@ def _proved_floors(red: _Reduction, t, r, estimate) -> np.ndarray:
     # the boxes not yet proved, and their t, |t|, r, estimate and delta
     pending = np.flatnonzero(failed)
     r = np.broadcast_to(r, t.shape)
-    t, abs_t, r, estimate, delta = (v[pending] for v in (t, abs_t, r, estimate, delta))
+    t, r, estimate = (v[pending] for v in (t, r, estimate))
+    abs_t = np.abs(t)
+    delta = red.d0 + red.d1 * abs_t
     for _ in range(CHOLESKY_RETRIES):
         delta *= SHIFT_WIDENING
-        ok, proved = _shifted_floors(red, t, abs_t, r, estimate - delta)
+        shift = estimate - delta
+        ok = _factorizes(_shifted(red, t, shift))
+        proved = red.floors(shift, abs_t, t * t, r)
         floors[pending[ok]] = proved[ok]
         if ok.all():
             break
@@ -421,13 +425,12 @@ def _proved_floors(red: _Reduction, t, r, estimate) -> np.ndarray:
     return floors
 
 
-def _shifted_floors(red: _Reduction, t, abs_t, r, shift) -> tuple[np.ndarray, np.ndarray]:
-    """Whether Q - 2tA - shift 1 factorizes for each box, and each box's
-    floor at ``shift``, which holds only where it does."""
+def _shifted(red: _Reduction, t, shift) -> np.ndarray:
+    """The stack of Q - 2tA - shift 1, one matrix per box."""
     stack = red.matrices(t)
     diagonal = np.einsum("bii->bi", stack)
     diagonal -= shift[:, None]
-    return _factorizes(stack), red.floors(shift, abs_t, t * t, r)
+    return stack
 
 
 def interval_minimum(operator_set: OperatorSet, reach: float) -> IntervalResult:
@@ -472,8 +475,8 @@ def interval_minimum(operator_set: OperatorSet, reach: float) -> IntervalResult:
     r = (hi - lo) / 2
     points = np.array([t[0], lo, hi])
     upper, best = np.inf, hi
-    # the midpoints, estimates and common r of the final boxes of each
-    # level that keeps one
+    # the midpoints, estimates, first shifts, floors and common r of the
+    # final boxes of each level that keeps one
     finals = []
     boxes = 0
     for level in range(MAX_LEVELS):
@@ -486,33 +489,36 @@ def interval_minimum(operator_set: OperatorSet, reach: float) -> IntervalResult:
         estimate, square = estimate[: t.size], square[: t.size]
         boxes += t.size
         tol = INTERVAL_TOLERANCE * max(1.0, upper)
+        # each box's first shift and its floor there, which its split test
+        # reads and, for a final box, its proof
+        abs_t = np.abs(t)
+        shift = estimate - (red.d0 + red.d1 * abs_t)
+        floors = red.floors(shift, abs_t, square, r)
         # A box's bound is at least upper - r^2 less its allowance, so a box
         # with r^2 <= tol / BOX_SPLIT^2 gains nothing that matters by
         # splitting; and a variance sum is never negative, so when upper <= tol
         # the lower end 0 already closes the gap.
         count = 0
         if level + 1 < MAX_LEVELS and r * r > tol / BOX_SPLIT**2 and upper > tol:
-            abs_t = np.abs(t)
-            shift = estimate - (red.d0 + red.d1 * abs_t)
-            split = red.floors(shift, abs_t, square, r) < upper + red.e0 - tol
+            split = floors < upper + red.e0 - tol
             count = np.count_nonzero(split)
         if count == 0 or BOX_SPLIT * count > MAX_LEVEL_BOXES:
-            finals.append((t, estimate, r))
+            finals.append((t, estimate, shift, floors, r))
             break
         if count < t.size:
             final = ~split
-            finals.append((t[final], estimate[final], r))
+            finals.append((t[final], estimate[final], shift[final], floors[final], r))
         r /= BOX_SPLIT
         t = (t[split, None] + r * _CHILD_OFFSETS).ravel()
         points = t
 
     if len(finals) == 1:
-        t, estimate, r = finals[0]
+        t, estimate, shift, floors, r = finals[0]
     else:
-        midpoints, estimates, radii = zip(*finals)
-        r = np.repeat(radii, [part.size for part in midpoints])
-        t, estimate = np.concatenate(midpoints), np.concatenate(estimates)
-    lower = max(0.0, float(_proved_floors(red, t, r, estimate).min()))
+        *parts, radii = zip(*finals)
+        r = np.repeat(radii, [part.size for part in parts[0]])
+        t, estimate, shift, floors = (np.concatenate(part) for part in parts)
+    lower = max(0.0, float(_proved_floors(red, t, r, estimate, shift, floors).min()))
     argmin = PureState.canonical(np.linalg.eigh(red.q - 2 * best * red.a)[1][:, 0])
     # the sum as the descent evaluates it, at the state's real coordinates
     x = np.concatenate([argmin.amplitudes.real, argmin.amplitudes.imag])[:, None]

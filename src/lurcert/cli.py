@@ -15,6 +15,7 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -389,66 +390,131 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
+class _Option(NamedTuple):
+    """One ``--flag value`` option of a sub-command: the arguments of its
+    ``add_argument`` call."""
+
+    flag: str
+    dest: str
+    type: Callable[[str], object] | None = None
+    choices: tuple | None = None
+    required: bool = False
+    default: object = None
+    help: str | None = None
+
+
+class _Command(NamedTuple):
+    help: str
+    func: Callable
+    options: tuple[_Option, ...]
+
+
+# The CLI grammar: every sub-command and its options, in help order.
+# ``build_parser`` hands it to argparse, and ``_direct_args`` reads it.
+_COMMANDS = {
+    "certify": _Command("evaluate a local uncertainty relation on a state file", cmd_certify, (
+        _Option("--state", "state", required=True, help="JSON state file"),
+        _Option("--relation", "relation", required=True,
+                help=f"catalog kind {RELATION_KINDS} or path to a search-bound file"),
+        _Option("--json", "json", help="also write the certificate as JSON to this path"),
+    )),
+    "family": _Command("scan a state family and write a CSV curve", cmd_family, (
+        _Option("--kind", "kind", choices=("white", "xdecoherence", "bell"), required=True),
+        _Option("--grid", "grid", required=True, help="parameter grid start:stop:step"),
+        _Option("--relation", "relation", choices=RELATION_KINDS, required=True),
+        _Option("--out", "out", required=True, help="output CSV path"),
+        _Option("--two-l", "two_l", int, help="level number as 2l (white family)"),
+    )),
+    "search-bound": _Command("bound an uncertainty limit: proven for built-in sets", cmd_search_bound, (
+        _Option("--set", "set", required=True, help="spin:<xyz> | stokes:<123> | operator JSON file"),
+        _Option("--two-l", "two_l", int, help="2l for spin sets, n for stokes sets"),
+        _Option("--restarts", "restarts", int, default=64),
+        _Option("--seed", "seed", int, default=0),
+        _Option("--emit-state", "emit_state", help="write the argmin state file here"),
+        _Option("--emit-bound", "emit_bound", help="write a certified bound file here"),
+    )),
+    "state-gen": _Command("write a built-in state family member to a file", cmd_state_gen, (
+        _Option("--kind", "kind", choices=("singlet", "minuncert3", "white", "xdecoherence", "bell"),
+                required=True),
+        _Option("--two-l", "two_l", int),
+        _Option("--phi", "phi", float, default=0.0,
+                help="phase of the three-level minimal-uncertainty family"),
+        _Option("--p", "p", float, help="noise weight for white/xdecoherence"),
+        _Option("--ps", "ps", float),
+        _Option("--p1", "p1", float),
+        _Option("--p2", "p2", float),
+        _Option("--p3", "p3", float),
+        _Option("--out", "out", required=True),
+    )),
+    "bound": _Command("print a catalog bound", cmd_bound, (
+        _Option("--kind", "kind", choices=CATALOG_KINDS, required=True),
+        _Option("--two-l", "two_l", int, required=True, help="2l for spin kinds, n for stokes kinds"),
+    )),
+}
+# each sub-command's options by flag
+_FLAGS = {name: {o.flag: o for o in command.options} for name, command in _COMMANDS.items()}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="lurcert", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     # each sub-command's parser by name, for ``main`` to hand its arguments to
     parser.commands = sub.choices
-
-    p = sub.add_parser("certify", help="evaluate a local uncertainty relation on a state file")
-    p.add_argument("--state", required=True, help="JSON state file")
-    p.add_argument(
-        "--relation",
-        required=True,
-        help=f"catalog kind {RELATION_KINDS} or path to a search-bound file",
-    )
-    p.add_argument("--json", help="also write the certificate as JSON to this path")
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("family", help="scan a state family and write a CSV curve")
-    p.add_argument("--kind", required=True, choices=("white", "xdecoherence", "bell"))
-    p.add_argument("--grid", required=True, help="parameter grid start:stop:step")
-    p.add_argument("--relation", required=True, choices=RELATION_KINDS)
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--two-l", type=int, dest="two_l", help="level number as 2l (white family)")
-    p.set_defaults(func=cmd_family)
-
-    p = sub.add_parser("search-bound", help="bound an uncertainty limit: proven for built-in sets")
-    p.add_argument("--set", required=True, help="spin:<xyz> | stokes:<123> | operator JSON file")
-    p.add_argument("--two-l", type=int, dest="two_l", help="2l for spin sets, n for stokes sets")
-    p.add_argument("--restarts", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--emit-state", dest="emit_state", help="write the argmin state file here")
-    p.add_argument("--emit-bound", dest="emit_bound", help="write a certified bound file here")
-    p.set_defaults(func=cmd_search_bound)
-
-    p = sub.add_parser("state-gen", help="write a built-in state family member to a file")
-    p.add_argument("--kind", required=True, choices=("singlet", "minuncert3", "white", "xdecoherence", "bell"))
-    p.add_argument("--two-l", type=int, dest="two_l")
-    p.add_argument("--phi", type=float, default=0.0, help="phase of the three-level minimal-uncertainty family")
-    p.add_argument("--p", type=float, help="noise weight for white/xdecoherence")
-    p.add_argument("--ps", type=float)
-    p.add_argument("--p1", type=float)
-    p.add_argument("--p2", type=float)
-    p.add_argument("--p3", type=float)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_state_gen)
-
-    p = sub.add_parser("bound", help="print a catalog bound")
-    p.add_argument("--kind", required=True, choices=CATALOG_KINDS)
-    p.add_argument("--two-l", type=int, dest="two_l", required=True,
-                   help="2l for spin kinds, n for stokes kinds")
-    p.set_defaults(func=cmd_bound)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for o in command.options:
+            p.add_argument(o.flag, dest=o.dest, type=o.type, choices=o.choices,
+                           required=o.required, default=o.default, help=o.help)
+        p.set_defaults(func=command.func)
     return parser
+
+
+def _direct_args(command: str, argv) -> argparse.Namespace | None:
+    """The namespace that ``command``'s parser returns for ``argv``, read
+    from ``_COMMANDS`` with no parser, when ``argv`` is plain: pairs of an
+    option spelled exactly, each at most once, and a value that does not
+    start with "-", that converts by the option's type and lies in its
+    choices, with every required option given.  None for any other argv.
+
+    On that domain argparse reads each option token as its option and
+    each value as its argument (a token is an option only when it starts
+    with "-"), and every option stores exactly one value; no sub-command
+    has a positional argument.  So the namespace is argparse's: each
+    option's value, converted, else its default, and the command's
+    ``func``.  Everything else (help, --version, abbreviations,
+    ``--opt=value``, ``--``, negative numbers, repeats and every usage
+    error) is left to argparse.
+    """
+    flags = _FLAGS.get(command)
+    if flags is None or len(argv) % 2:
+        return None
+    values = {}
+    for flag, value in zip(argv[::2], argv[1::2]):
+        option = flags.get(flag)
+        if option is None or option.dest in values or value.startswith("-"):
+            return None
+        if option.type is not None:
+            try:
+                value = option.type(value)
+            except ValueError:
+                return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        values[option.dest] = value
+    spec = _COMMANDS[command]
+    if any(o.required and o.dest not in values for o in spec.options):
+        return None
+    defaults = {o.dest: o.default for o in spec.options}
+    return argparse.Namespace(**{**defaults, **values}, func=spec.func)
 
 
 @functools.cache
 def _shared_parser() -> _Parser:
-    """The parser of this process, built on the first ``main`` call.  It
-    holds no per-call state: ``parse_args`` returns a fresh namespace, and
-    usage errors and ``--version`` look up ``sys.stderr``/``sys.stdout``
-    when they print."""
+    """The parser of this process, built on the first ``main`` call whose
+    argv ``_direct_args`` declines.  It holds no per-call state:
+    ``parse_args`` returns a fresh namespace, and usage errors and
+    ``--version`` look up ``sys.stderr``/``sys.stdout`` when they print."""
     return build_parser()
 
 
@@ -462,13 +528,15 @@ def _check_two_l(args) -> None:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _shared_parser()
-    # The top-level parser would scan every argument once before handing
-    # them to the sub-command's parser, which is the same object; anything
-    # but a sub-command name first (no arguments, -h, --version, --, an
-    # unknown name) still goes through the top-level parser.
-    command = parser.commands.get(argv[0]) if argv else None
-    args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
+    args = _direct_args(argv[0], argv[1:]) if argv else None
+    if args is None:
+        parser = _shared_parser()
+        # The top-level parser would scan every argument once before handing
+        # them to the sub-command's parser, which is the same object; anything
+        # but a sub-command name first (no arguments, -h, --version, --, an
+        # unknown name) still goes through the top-level parser.
+        command = parser.commands.get(argv[0]) if argv else None
+        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
     try:
         _check_two_l(args)
         return args.func(args)

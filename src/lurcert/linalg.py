@@ -112,12 +112,12 @@ def _difference(a: np.ndarray, moderate: bool = False) -> np.ndarray:
     return np.subtract(a, d, out=d)
 
 
-def hermiticity_deviation(a: np.ndarray) -> float:
+def hermiticity_deviation(a: np.ndarray, moderate: bool = False) -> float:
     """Max entrywise deviation of the square array ``a`` from its conjugate
     transpose.  ``a`` is used as given: coerce it with ``as_square_matrix``
-    first.  An overflowing difference is an infinite deviation (see
-    ``_difference``)."""
-    return _largest_modulus(_difference(a))
+    first.  An overflowing difference is an infinite deviation, and
+    ``moderate`` says that none can overflow (see ``_difference``)."""
+    return _largest_modulus(_difference(a, moderate))
 
 
 def _largest_modulus(difference: np.ndarray) -> float:
@@ -145,8 +145,8 @@ def _hermitian_part(a: np.ndarray, difference: np.ndarray) -> np.ndarray:
 
 
 def ensure_hermitian(a, what: str = "matrix") -> np.ndarray:
-    a = as_square_matrix(a)
-    dev = hermiticity_deviation(a)
+    a, moderate = _coerced(a)
+    dev = hermiticity_deviation(a, moderate)
     if dev > DEFAULT_TOLERANCE:
         raise NotHermitianError(
             f"{what} deviates from Hermiticity by {dev:.3e} (tolerance {DEFAULT_TOLERANCE:.1e})"

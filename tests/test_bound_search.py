@@ -557,8 +557,8 @@ def final_boxes(op_set, reach):
     search whose final boxes share one radius passes it as a scalar."""
     calls = []
 
-    def recording(red, t, r, estimate, prove=bound_search._proved_floors):
-        calls.append((t, np.broadcast_to(r, t.shape), prove(red, t, r, estimate)))
+    def recording(red, t, r, estimate, shift, floors, prove=bound_search._proved_floors):
+        calls.append((t, np.broadcast_to(r, t.shape), prove(red, t, r, estimate, shift, floors)))
         return calls[-1][2]
 
     with mock.patch.object(bound_search, "_proved_floors", recording):

@@ -952,9 +952,9 @@ def test_an_operator_file_dim_must_match_its_operators(dim, tmp_path, capsys):
 def test_each_bound_file_operator_is_checked_for_hermiticity_once(monkeypatch):
     calls = []
 
-    def counting(a):
+    def counting(a, *args):
         calls.append(a.shape)
-        return original(a)
+        return original(a, *args)
 
     original = lurcert.linalg.hermiticity_deviation
     monkeypatch.setattr(lurcert.linalg, "hermiticity_deviation", counting)
