@@ -9,7 +9,6 @@ machine-parsable line ``error[<code>]: <message>`` to stderr.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -459,8 +458,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="lurcert", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    # each sub-command's parser by name, for ``main`` to hand its arguments to
-    parser.commands = sub.choices
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
         for o in command.options:
@@ -471,7 +468,8 @@ def build_parser() -> _Parser:
 
 
 def _direct_args(command: str, argv) -> argparse.Namespace | None:
-    """The namespace that ``command``'s parser returns for ``argv``, read
+    """The namespace that ``command``'s parser returns for ``argv`` (the
+    top-level parser adds only ``command``, which nothing reads), read
     from ``_COMMANDS`` with no parser, when ``argv`` is plain: pairs of an
     option spelled exactly, each at most once, and a value that does not
     start with "-", that converts by the option's type and lies in its
@@ -509,15 +507,6 @@ def _direct_args(command: str, argv) -> argparse.Namespace | None:
     return argparse.Namespace(**{**defaults, **values}, func=spec.func)
 
 
-@functools.cache
-def _shared_parser() -> _Parser:
-    """The parser of this process, built on the first ``main`` call whose
-    argv ``_direct_args`` declines.  It holds no per-call state:
-    ``parse_args`` returns a fresh namespace, and usage errors and
-    ``--version`` look up ``sys.stderr``/``sys.stdout`` when they print."""
-    return build_parser()
-
-
 def _check_two_l(args) -> None:
     """Refuse ``--two-l`` above ``MAX_TWO_L`` before a sub-command allocates."""
     two_l = getattr(args, "two_l", None)
@@ -530,13 +519,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = _direct_args(argv[0], argv[1:]) if argv else None
     if args is None:
-        parser = _shared_parser()
-        # The top-level parser would scan every argument once before handing
-        # them to the sub-command's parser, which is the same object; anything
-        # but a sub-command name first (no arguments, -h, --version, --, an
-        # unknown name) still goes through the top-level parser.
-        command = parser.commands.get(argv[0]) if argv else None
-        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         _check_two_l(args)
         return args.func(args)

@@ -69,10 +69,10 @@ _MODERATE = 2.0**1021
 
 
 def _coerced(data) -> tuple[np.ndarray, bool]:
-    """``as_square_matrix(data)``, and whether every entry's modulus is
-    below ``_MODERATE``.  One pass of moduli answers that and, when it
-    holds, finiteness too; only a matrix with a large or non-finite entry
-    is checked for finiteness on its own."""
+    """``data`` as a complex square matrix, rejecting non-finite entries,
+    and whether every entry's modulus is below ``_MODERATE``.  One pass of
+    moduli answers that and, when it holds, finiteness too; only a matrix
+    with a large or non-finite entry is checked for finiteness on its own."""
     m = np.asarray(data, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
@@ -84,17 +84,12 @@ def _coerced(data) -> tuple[np.ndarray, bool]:
     return m, moderate
 
 
-def as_square_matrix(data) -> np.ndarray:
-    """Coerce to a complex square matrix, rejecting non-finite entries."""
-    return _coerced(data)[0]
-
-
 def _difference(a: np.ndarray, moderate: bool = False) -> np.ndarray:
     """The differences ``a - a^H`` of the square array ``a`` of finite
-    entries, in one fresh C-ordered array.  A complex ``a`` is conjugated
-    and transposed into it in one pass, which the differences then
-    overwrite, so that with a C-ordered ``a`` every later pass over it runs
-    in step with ``a``.
+    entries, in one fresh C-ordered array.  ``a`` is conjugated and
+    transposed into it in one pass, which the differences then overwrite,
+    so that with a C-ordered ``a`` every later pass over it runs in step
+    with ``a``.
 
     Two finite entries can differ by more than the float range; the
     difference is then infinite, and so is the deviation, which every
@@ -106,29 +101,16 @@ def _difference(a: np.ndarray, moderate: bool = False) -> np.ndarray:
     if not moderate:
         with np.errstate(over="ignore"):
             return _difference(a, True)
-    if a.dtype.kind != "c":
-        return np.subtract(a, a.T, order="C")
     d = np.conjugate(a.T, order="C")
     return np.subtract(a, d, out=d)
 
 
-def hermiticity_deviation(a: np.ndarray, moderate: bool = False) -> float:
+def hermiticity_deviation(a: np.ndarray) -> float:
     """Max entrywise deviation of the square array ``a`` from its conjugate
-    transpose.  ``a`` is used as given: coerce it with ``as_square_matrix``
-    first.  An overflowing difference is an infinite deviation, and
-    ``moderate`` says that none can overflow (see ``_difference``)."""
-    return _largest_modulus(_difference(a, moderate))
-
-
-def _largest_modulus(difference: np.ndarray) -> float:
-    """The largest modulus of the entries of ``difference`` =
-    ``_difference(a)``.  A real one is antisymmetric to the bit, since
-    fl(x - y) = -fl(y - x), so its largest entry is that modulus.  The
-    modulus of a complex entry past the float range is inf, which numpy
-    computes without a warning."""
-    if difference.dtype.kind != "c":
-        return float(difference.max())
-    return float(np.abs(difference).max())
+    transpose, inf when a difference overflows (numpy takes the modulus of
+    an infinite entry without a warning).  ``a`` is used as given: coerce
+    it with ``_coerced`` first."""
+    return float(np.abs(_difference(a)).max())
 
 
 def _hermitian_part(a: np.ndarray, difference: np.ndarray) -> np.ndarray:
@@ -145,8 +127,8 @@ def _hermitian_part(a: np.ndarray, difference: np.ndarray) -> np.ndarray:
 
 
 def ensure_hermitian(a, what: str = "matrix") -> np.ndarray:
-    a, moderate = _coerced(a)
-    dev = hermiticity_deviation(a, moderate)
+    a = _coerced(a)[0]
+    dev = hermiticity_deviation(a)
     if dev > DEFAULT_TOLERANCE:
         raise NotHermitianError(
             f"{what} deviates from Hermiticity by {dev:.3e} (tolerance {DEFAULT_TOLERANCE:.1e})"

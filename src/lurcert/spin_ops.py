@@ -6,6 +6,8 @@ All matrices use the descending-m basis: index 0 is |m=l>, index N-1 is
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,15 +46,27 @@ class SpinQuantum:
         return str(Fraction(self.two_l, 2))
 
 
+# The cap on s = sum_i ||A_i||_F^2 of a set that ``OperatorSet(...)``
+# checks.  With s the larger sum of a joint's two sets and a state of unit
+# trace, every number that certify and the search form is at most 4 s or
+# (6 s)^2: the entries of sum_i A_i^2, each moment <J_i>^2 and <J_i^2>,
+# the scale of certify's variance floor, and the squared descent gradient
+# |2 S x - 4 sum_i <A_i> A_i x|^2.  At a sixteenth of the square root of
+# the float range, 36 s^2 is below a seventh of the range, so all of them
+# stay finite, rounding included.
+_MAX_SQUARED_NORM = math.sqrt(sys.float_info.max) / 16
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorSet:
     """Ordered set of Hermitian operators whose variances are summed.
 
     ``OperatorSet(...)`` checks each operator for Hermiticity within the
-    default tolerance and stores a read-only complex copy; the operators of
-    bound and operator files come through it.  The spin and Stokes sets of
-    this module are exactly Hermitian by construction and are handed over
-    through ``_adopt`` instead.
+    default tolerance, refuses a set whose squared Frobenius norms sum
+    above ``_MAX_SQUARED_NORM``, and stores a read-only complex copy of
+    each operator; the operators of bound and operator files come through
+    it.  The spin and Stokes sets of this module are exactly Hermitian by
+    construction and are handed over through ``_adopt`` instead.
     """
 
     label: str
@@ -72,6 +86,15 @@ class OperatorSet:
                 raise DimensionMismatchError(
                     f"{self.label}[{i}] has dimension {op.shape[0]}, expected {dim}"
                 )
+        # the sum as computed: inf once a square overflows, and otherwise
+        # within a rounding of the exact sum that the cap's margin covers
+        with np.errstate(over="ignore"):
+            squared = sum(np.vdot(op, op).real for op in ops)
+        if not squared <= _MAX_SQUARED_NORM:
+            raise InvalidParameterError(
+                f"operator set {self.label!r} is too large: its squared Frobenius norms sum to"
+                f" {squared:.3e}, above {_MAX_SQUARED_NORM:.3e}"
+            )
         object.__setattr__(self, "operators", tuple(ops))
 
     @classmethod

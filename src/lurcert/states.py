@@ -88,12 +88,8 @@ class DensityMatrix:
         m, moderate = linalg._coerced(self.matrix)
         dims = _matched_dims(self.dims, m.shape[0])
 
-        # With no imaginary part, Hermitian means real symmetric: check it
-        # in real arithmetic.  The deviation is the same number on either
-        # path.
-        checked = _real_if_real(m)
-        difference = linalg._difference(checked, moderate)
-        dev = linalg._largest_modulus(difference)
+        difference = linalg._difference(m, moderate)
+        dev = float(np.abs(difference).max())
         if dev > tol:
             raise NotHermitianError(
                 f"state deviates from Hermiticity by {dev:.3e} (tolerance {tol:.1e})"
@@ -105,11 +101,11 @@ class DensityMatrix:
         tr = m.trace()
         if abs(tr.real - 1.0) > tol:
             raise TraceNotOneError(f"state trace is {tr.real:.17g}, expected 1")
-        if not linalg._proves_floor(linalg._hermitian_part(checked, difference), tol):
+        if not linalg._proves_floor(linalg._hermitian_part(m, difference), tol):
             # the proof shifted that rho_H in place: the spectrum is taken
             # of a second one, formed the same way
             del difference
-            hermitian = linalg._hermitian_part(checked, linalg._difference(checked, moderate))
+            hermitian = linalg._hermitian_part(m, linalg._difference(m, moderate))
             least = np.linalg.eigvalsh(hermitian)[0]
             if least < -tol:
                 raise NotPositiveError(
@@ -189,12 +185,6 @@ def _matched_dims(dims, size: int) -> tuple[int, ...]:
             f"dims {dims} imply dimension {math.prod(dims)}, matrix has {size}"
         )
     return dims
-
-
-def _real_if_real(m: np.ndarray) -> np.ndarray:
-    """The real part of the complex array ``m`` when it has no imaginary
-    part, else ``m``."""
-    return m if np.count_nonzero(m.imag) else m.real
 
 
 def validate(matrix, dims, tolerance: float | None = None) -> DensityMatrix:
@@ -496,7 +486,11 @@ def min_uncertainty_state_n3(phi: float) -> PureState:
     (sqrt(5)/4) e^{-i phi} |-1> + (sqrt(6)/4) |0> + (sqrt(5)/4) e^{+i phi} |+1>.
 
     In the descending-m basis |+1>, |0>, |-1> map to indices 0, 1, 2.
+    ``phi`` is a finite real number, refused before numpy sees it.
     """
+    phi = _real(phi, "phi")
+    if not math.isfinite(phi):
+        raise InvalidParameterError(f"phi must be finite, got {phi}")
     a = np.sqrt(5.0) / 4
     b = np.sqrt(6.0) / 4
     return PureState(

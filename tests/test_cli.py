@@ -1,4 +1,3 @@
-import argparse
 import json
 import os
 import subprocess
@@ -810,9 +809,9 @@ def test_hostile_files_are_parse_errors(where, content, tmp_path, capsys):
     assert captured.out == ""
 
 
-def test_one_parser_serves_a_sequence_of_calls(tmp_path, monkeypatch, capsys):
-    """In-process calls on the shared parser give the bytes and exit codes
-    of the same calls in fresh processes, and the parser is built once."""
+def test_a_sequence_of_in_process_calls_matches_fresh_processes(tmp_path, monkeypatch, capsys):
+    """A sequence of in-process calls gives the bytes and exit codes of the
+    same calls in fresh processes."""
     singlet, mixed, loose = (tmp_path / f"{name}.json" for name in ("singlet", "mixed", "loose"))
     write_state(singlet_state(SpinQuantum(2)), singlet)
     write_state(maximally_mixed((2, 2)), mixed)
@@ -831,15 +830,6 @@ def test_one_parser_serves_a_sequence_of_calls(tmp_path, monkeypatch, capsys):
         (["certify", "--state", str(loose), "--relation", "s3"], "1e-3"),
     ]
 
-    built = []
-    original = cli.build_parser
-
-    def counting():
-        built.append(1)
-        return original()
-
-    monkeypatch.setattr(cli, "build_parser", counting)
-    cli._shared_parser.cache_clear()
     capsys.readouterr()
     in_process = []
     for argv, tol in calls:
@@ -854,7 +844,6 @@ def test_one_parser_serves_a_sequence_of_calls(tmp_path, monkeypatch, capsys):
         captured = capsys.readouterr()
         written = curve.read_bytes() if argv[0] == "family" else None
         in_process.append((code, captured.out, captured.err, written))
-    assert len(built) == 1
     assert [result[0] for result in in_process] == [1, 0, 3, 0, 0, 2, 0]
 
     src = str(Path(lurcert.__file__).resolve().parent.parent)
@@ -883,58 +872,6 @@ def test_two_l_is_refused_on_an_operator_file(capsys):
         f" not to the operator file {SPIN1_XY_FILE!r}"
     )
     assert run(*argv) == 0
-
-
-def test_sub_command_arguments_skip_the_top_level_parser(tmp_path, monkeypatch, capsys):
-    """``main`` hands the arguments after a sub-command name straight to
-    that sub-command's parser; exit codes, stdout and stderr equal those of
-    the top-level parser's path, which every other argv still takes."""
-    state = str(tmp_path / "singlet.json")
-    write_state(singlet_state(SpinQuantum(1)), state)
-    curve = str(tmp_path / "curve.csv")
-    family = ["family", "--grid", "0:1:0.5", "--relation", "l3", "--out", curve]
-    cases = [
-        [], ["-h"], ["--version"], ["--vers"], ["bogus"], ["CERTIFY"], ["cert"],
-        ["-h", "certify"], ["--version", "certify"],
-        ["certify"], ["certify", "-h"], ["certify", "--version"], ["certify", "--vers"],
-        ["certify", "--sta", state, "--rel", "l3"],
-        ["certify", f"--state={state}", "--relation", "s3"],
-        ["certify", "--state", state, "--relation", "l3", "extra"],
-        ["certify", "--state", state, "--relation", "l3", "--relation", "bogus"],
-        ["--", "certify", "--state", state, "--relation", "l3"],
-        ["certify", "--", "--state", state, "--relation", "l3"],
-        ["certify", "--state", state, "--relation", "l3", "--"],
-        [*family, "--kind", "bogus"],
-        [*family, "--kind", "white", "--two-l", "99"],
-        [*family, "--kind", "white", "--two-l", "x"],
-        [*family, "--kind", "white", "--two-l", "3"],
-        ["search-bound", "--set", "spin:xy", "--two-l", "2"],
-        ["state-gen", "-h"],
-        ["bound", "--kind", "spin3", "--two-l", "2"],
-        ["bound", "--kind", "spin3", "--two-l"],
-        ["bound"],
-    ]
-    parser = cli._shared_parser()
-    top_level = []
-
-    def outcome(argv):
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
-
-    def counting_parse(argv):
-        top_level.append(argv)
-        return argparse.ArgumentParser.parse_args(parser, argv)
-
-    monkeypatch.setattr(parser, "parse_args", counting_parse)
-    direct = [outcome(argv) for argv in cases]
-    assert top_level == [argv for argv in cases if not argv or argv[0] not in parser.commands]
-    monkeypatch.setattr(parser, "commands", {})
-    assert [outcome(argv) for argv in cases] == direct
-    assert {code for code, _, _ in direct} == {0, 1, 2, 3}
 
 
 @pytest.mark.parametrize("dim", [7, 2, True, "3"])

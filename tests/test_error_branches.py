@@ -13,7 +13,7 @@ import pytest
 from lurcert import cli
 from lurcert.linalg import DimensionMismatchError, InvalidParameterError, NotHermitianError
 from lurcert.lur import JointOperatorSet, build_joint
-from lurcert.spin_ops import OperatorSet, SpinQuantum, spin_components, spin_subset
+from lurcert.spin_ops import _MAX_SQUARED_NORM, OperatorSet, SpinQuantum, spin_components, spin_subset
 from lurcert.states import (
     PureState,
     StateFormatError,
@@ -21,6 +21,7 @@ from lurcert.states import (
     family_components,
     family_weights,
     matrix_from_rows,
+    min_uncertainty_state_n3,
     validate,
 )
 from lurcert.uncertainty import UncertaintyRelation
@@ -313,3 +314,92 @@ def test_the_largest_entries_checked_without_the_overflow_guard_differ_in_range(
             validate(matrix, (2,))
     assert str(exc.value) == f"state deviates from Hermiticity by {abs(2 * entry):.3e} (tolerance 1.0e-09)"
     assert np.isfinite(abs(2 * entry))
+
+
+@pytest.mark.parametrize("phi, message", [
+    ("inf", "phi must be finite, got inf"),
+    ("nan", "phi must be finite, got nan"),
+    ("-inf", "phi must be finite, got -inf"),
+])
+def test_a_non_finite_phi_is_refused_before_any_warning(phi, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([*STATE_GEN, "minuncert3", f"--phi={phi}"]) == cli.EXIT_VALIDATION
+        with pytest.raises(InvalidParameterError) as exc:
+            min_uncertainty_state_n3(float(phi))
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [f"error[invalid-parameter]: {message}"]
+    assert str(exc.value) == message
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("phi", ["1", True, 1j, None])
+def test_phi_is_a_real_number(phi):
+    with pytest.raises(InvalidParameterError) as exc:
+        min_uncertainty_state_n3(phi)
+    assert str(exc.value) == f"phi: expected a real number, got {phi!r}"
+
+
+# a Pauli X and Z scaled by a: their squared Frobenius norms sum to 4 a^2
+CAP_SCALE = np.sqrt(_MAX_SQUARED_NORM / 4)
+PAULI_XZ = (np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+
+def scaled_side(a):
+    rows = [[[[float(a * x), 0.0] for x in row] for row in op] for op in PAULI_XZ]
+    return {"label": "xz", "bound": 1.0, "provenance": "analytic", "operators": rows}
+
+
+def test_the_squared_norm_cap_is_derived_from_the_float_range():
+    # the squared descent gradient, at most (6 s)^2, stays below the range
+    assert 36 * _MAX_SQUARED_NORM**2 < np.finfo(float).max / 7
+
+
+@pytest.mark.parametrize("relative", [1 - 1e-12, 1 + 1e-12], ids=["below", "above"])
+def test_operator_sets_past_the_squared_norm_cap_are_refused_without_a_warning(
+    relative, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    side = scaled_side(CAP_SCALE * relative)
+    (tmp_path / "ops.json").write_text(json.dumps(side))
+    (tmp_path / "bound.json").write_text(json.dumps(side))
+    below = relative < 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # a mixture whose variance sum is about a^2, far above the bound
+        assert cli.main([*STATE_GEN, "bell", "--ps", "0.1", "--p1", "0.2", "--p2", "0.3",
+                         "--p3", "0.4", "--out", "bell.json"]) == cli.EXIT_OK
+        capsys.readouterr()
+        searched = cli.main(["search-bound", "--set", "ops.json", "--restarts", "2"])
+        searched_io = capsys.readouterr()
+        certified = cli.main(["certify", "--state", "bell.json", "--relation", "bound.json"])
+        certified_io = capsys.readouterr()
+    if below:
+        assert (searched, certified) == (cli.EXIT_OK, cli.EXIT_OK)
+        assert searched_io.err == certified_io.err == ""
+        numbers = [line.split()[-1] for line in searched_io.out.splitlines() if line.startswith("minimum:")]
+        numbers += [line.split()[-1] for line in certified_io.out.splitlines()
+                    if line.startswith(("total:", "relative violation C:"))]
+        assert len(numbers) == 3 and all(np.isfinite(float(x)) for x in numbers), numbers
+        return
+    assert (searched, certified) == (cli.EXIT_VALIDATION, cli.EXIT_VALIDATION)
+    for captured, code in ((searched_io, "invalid-parameter"), (certified_io, "bound-file")):
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error[{code}]: operator set 'xz' is too large: ")
+
+
+@pytest.mark.parametrize("scale", [CAP_SCALE * (1 + 1e-12), 1e200, 1e307])
+def test_an_operator_set_past_the_squared_norm_cap_is_refused(scale):
+    ops = tuple(scale * op for op in PAULI_XZ)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError) as exc:
+            OperatorSet("xz", ops)
+    shown = 4 * scale**2 if scale < 1e150 else np.inf
+    assert str(exc.value) == (
+        f"operator set 'xz' is too large: its squared Frobenius norms sum to {shown:.3e},"
+        f" above {_MAX_SQUARED_NORM:.3e}"
+    )
+    assert OperatorSet("xz", tuple(CAP_SCALE * (1 - 1e-12) * op for op in PAULI_XZ)).dim == 2

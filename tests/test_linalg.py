@@ -58,15 +58,15 @@ def test_ensure_hermitian_rejects_non_hermitian():
         linalg.ensure_hermitian(m)
 
 
-def test_as_square_matrix_rejects_bad_input():
+def test_coerced_rejects_bad_input():
     with pytest.raises(DimensionMismatchError):
-        linalg.as_square_matrix(np.ones((2, 3)))
+        linalg._coerced(np.ones((2, 3)))
     with pytest.raises(InvalidParameterError):
-        linalg.as_square_matrix(np.array([[np.nan, 0], [0, 1]]))
+        linalg._coerced(np.array([[np.nan, 0], [0, 1]]))
 
 
 def test_matrices_are_coerced_once_per_check(monkeypatch):
-    # _coerced is the one coercion: as_square_matrix and validation call it
+    # _coerced is the one coercion: ensure_hermitian and validation call it
     calls = []
     original = linalg._coerced
 
@@ -110,8 +110,7 @@ def _difference_deviation(a):
 
 def _layouts(a):
     """``a`` C-ordered and Fortran-ordered, and for a real ``a`` also the
-    strided real view of complex storage that validation checks a real
-    state through."""
+    strided real view of complex storage."""
     yield np.ascontiguousarray(a)
     yield np.asfortranarray(a)
     if not np.iscomplexobj(a):

@@ -135,7 +135,7 @@ def test_a_number_or_none_is_a_tolerance(tolerance):
     assert DensityMatrix(np.eye(2) / 2, (2,), tolerance).dims == (2,)
 
 
-# --- real-arithmetic validation -------------------------------------------
+# --- the solvers of validation ----------------------------------------------
 
 
 def record_solvers(monkeypatch):
@@ -201,7 +201,7 @@ def random_real_states(count=20):
         yield m / np.trace(m)
 
 
-def test_real_states_are_checked_in_real_arithmetic(monkeypatch):
+def test_real_states_are_accepted(monkeypatch):
     calls = record_solvers(monkeypatch)
     # the family constructors check nothing, so their matrices go through
     # validate as a caller's would
@@ -209,8 +209,8 @@ def test_real_states_are_checked_in_real_arithmetic(monkeypatch):
     randoms = (validate(m, (len(m),)) for m in random_real_states())
     built = states_with_their_calls(itertools.chain(members, randoms), calls)
     for rho, made in built:
-        # accepted by one real factorization per validation, no eigensolve
-        assert made and all(name == "cholesky" and dtype == np.float64 for name, dtype, _ in made)
+        # accepted by one complex factorization per validation, no eigensolve
+        assert made and all(name == "cholesky" and dtype == np.complex128 for name, dtype, _ in made)
         assert rho.matrix.dtype == complex
         assert not rho.matrix.imag.any()
 
@@ -256,9 +256,9 @@ def test_real_path_rejects_as_the_complex_path_does(monkeypatch):
         assert type(real.value) is type(complex_.value)
         assert str(real.value) == str(complex_.value)
     # only the non-positive state reaches the factorization, which fails
-    # and falls back to the spectrum, in each arithmetic
+    # and falls back to the spectrum, in complex arithmetic for both
     assert [(name, dtype) for name, dtype, _ in calls] == [
-        ("cholesky", np.float64), ("eigvalsh", np.float64),
+        ("cholesky", np.complex128), ("eigvalsh", np.complex128),
         ("cholesky", np.complex128), ("eigvalsh", np.complex128),
     ]
 
