@@ -11,6 +11,7 @@ restarts provides the estimate.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,7 +294,7 @@ CHOLESKY_RETRIES = 8
 SHIFT_WIDENING = 16.0
 
 # the midpoints of a box's children, in units of the children's half-width
-_CHILD_OFFSETS = np.arange(1 - BOX_SPLIT, BOX_SPLIT, 2, dtype=float)
+_CHILD_OFFSETS = tuple(float(k) for k in range(1 - BOX_SPLIT, BOX_SPLIT, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,10 +316,6 @@ class IntervalResult:
     @property
     def gap(self) -> float:
         return self.upper - self.lower
-
-
-def _round_down(x):
-    return np.nextafter(x, -np.inf)
 
 
 class _Reduction:
@@ -379,49 +376,51 @@ class _Reduction:
         self.d0 = 16 * size * _UNIT_ROUNDOFF * qr_norm + 1e-300
         self.d1 = 32 * size * _UNIT_ROUNDOFF * ar_norm
 
-    def matrices(self, t: np.ndarray) -> np.ndarray:
-        return self.qr - t[:, None, None] * self.ar2
-
-    def floors(self, shift: np.ndarray, abs_t: np.ndarray, square: np.ndarray, r) -> np.ndarray:
-        """Box lower bounds shift - allowance + t^2 - r^2, each step rounded
-        down, for boxes whose shift a factorization proved; ``abs_t`` is |t|
-        and ``square`` t^2."""
-        s = _round_down(shift - (self.c0 + self.c1 * abs_t + self.c2 * np.abs(shift)))
-        return _round_down(_round_down(s + _round_down(square)) - np.nextafter(r * r, np.inf))
+    def matrices(self, t) -> np.ndarray:
+        """The stack of Q - 2tA, one matrix per entry of ``t``."""
+        return self.qr - np.array(t)[:, None, None] * self.ar2
 
 
-def _proved_floors(red: _Reduction, t, r, estimate, shift, floors) -> np.ndarray:
-    """Proven lower bounds of the boxes with midpoints ``t``, radii ``r``
-    (one for all, or one per box) and eigenvalue estimates ``estimate``;
-    -inf for a box that no retry proves.
+def _floor(red: _Reduction, shift: float, t: float, r: float) -> float:
+    """The lower bound shift - allowance + t^2 - r^2 of the box with
+    midpoint ``t`` and radius ``r``, each step rounded down, for a box whose
+    ``shift`` a factorization proved.  Squares are products: a Python
+    float's ``**`` raises OverflowError where numpy's rounds to inf."""
+    s = math.nextafter(shift - (red.c0 + red.c1 * abs(t) + red.c2 * abs(shift)), -math.inf)
+    s = math.nextafter(s + math.nextafter(t * t, -math.inf), -math.inf)
+    return math.nextafter(s - math.nextafter(r * r, math.inf), -math.inf)
 
-    ``shift`` is each box's first shift, estimate - (d0 + d1 |t|), and
-    ``floors`` its floor there, as the level loop computed them.  Every
-    box is first factored at that shift, in one stack, and when each
-    factorization completes ``floors`` is returned as it is.  A box that
-    fails retries alone, its shift widened by SHIFT_WIDENING each time,
-    at most CHOLESKY_RETRIES times.
+
+def _proved_floors(red: _Reduction, boxes: list) -> list:
+    """Proven lower bounds of ``boxes``, each a tuple (t, r, estimate,
+    shift, floor) of floats: midpoint, radius, eigenvalue estimate, first
+    shift estimate - (d0 + d1 |t|) and ``_floor`` there, as the level loop
+    computed them; -inf for a box that no retry proves.
+
+    Every box is first factored at its first shift, in one stack, and when
+    each factorization completes the floors are returned as they are.  The
+    boxes that fail retry together, one stack per retry, each with its
+    shift widened by SHIFT_WIDENING every time, at most CHOLESKY_RETRIES
+    times.
     """
+    t, r, estimate, shift, floors = (list(v) for v in zip(*boxes))
     ok = _factorizes(_shifted(red, t, shift))
     if ok.all():
         return floors
-    failed = ~ok
-    floors[failed] = -np.inf
-    # the boxes not yet proved, and their t, |t|, r, estimate and delta
-    pending = np.flatnonzero(failed)
-    r = np.broadcast_to(r, t.shape)
-    t, r, estimate = (v[pending] for v in (t, r, estimate))
-    abs_t = np.abs(t)
-    delta = red.d0 + red.d1 * abs_t
+    # the boxes not yet proved, each with its shift's distance below its estimate
+    pending = [(i, red.d0 + red.d1 * abs(t[i])) for i, proved in enumerate(ok.tolist()) if not proved]
+    for i, _ in pending:
+        floors[i] = -math.inf
     for _ in range(CHOLESKY_RETRIES):
-        delta *= SHIFT_WIDENING
-        shift = estimate - delta
-        ok = _factorizes(_shifted(red, t, shift))
-        proved = red.floors(shift, abs_t, t * t, r)
-        floors[pending[ok]] = proved[ok]
-        if ok.all():
+        pending = [(i, delta * SHIFT_WIDENING) for i, delta in pending]
+        shift = [estimate[i] - delta for i, delta in pending]
+        ok = _factorizes(_shifted(red, [t[i] for i, _ in pending], shift)).tolist()
+        for (i, _), s, proved in zip(pending, shift, ok):
+            if proved:
+                floors[i] = _floor(red, s, t[i], r[i])
+        pending = [box for box, proved in zip(pending, ok) if not proved]
+        if not pending:
             break
-        pending, t, abs_t, r, estimate, delta = (v[~ok] for v in (pending, t, abs_t, r, estimate, delta))
     return floors
 
 
@@ -429,7 +428,7 @@ def _shifted(red: _Reduction, t, shift) -> np.ndarray:
     """The stack of Q - 2tA - shift 1, one matrix per box."""
     stack = red.matrices(t)
     diagonal = np.einsum("bii->bi", stack)
-    diagonal -= shift[:, None]
+    diagonal -= np.array(shift)[:, None]
     return stack
 
 
@@ -456,72 +455,68 @@ def interval_minimum(operator_set: OperatorSet, reach: float) -> IntervalResult:
     upper - tol, tol = INTERVAL_TOLERANCE * max(1, upper), splits into
     BOX_SPLIT boxes while upper > tol and r^2 > tol / BOX_SPLIT^2, and the
     others are final.  The boxes of a level share one radius r.  ``upper``
-    is the sum at the eigenvector of Q - 2tA at the best t evaluated, plus
-    the bound on the rounding of that evaluation.  ``lower`` is max(0, the
-    least final box bound s + t^2 - r^2), where each s is proved by a
-    Cholesky factorization of Q - 2tA - s 1 (see ``_Reduction``).  The
-    final boxes of all levels are proved together by ``_proved_floors``,
-    with one radius when they come from a single level and one per box
-    otherwise.  A search makes one ``eigvalsh`` per level, one ``eigh`` for
-    the eigenvector, and one stacked factorization when every final box
-    is proved at its first shift.
+    is the sum at the eigenvector of Q - 2tA at the best t evaluated (the
+    first at the least h), plus the bound on the rounding of that
+    evaluation.  ``lower`` is max(0, the least final box bound
+    s + t^2 - r^2), where each s is proved by a Cholesky factorization of
+    Q - 2tA - s 1 (see ``_Reduction``); the final boxes of all levels are
+    proved together by ``_proved_floors``.
+
+    A level holds at most 16 boxes on every built-in set, so each box's
+    numbers (t, its estimate, h, its first shift, its floor, its split test
+    and its children's midpoints) are Python floats, which round each
+    operation as numpy's float64 does; numpy only forms and reduces the
+    matrix stacks.  A search makes one ``eigvalsh`` per level, one
+    ``eigh`` for the eigenvector, and one stacked factorization when every
+    final box is proved at its first shift.
     """
     if not (reach >= 0 and float(2 * reach).is_integer()):
         raise InvalidParameterError(f"reach must be a nonnegative multiple of 1/2, got {reach!r}")
     red = _Reduction(operator_set)
     hi = float(reach)
     lo = 0.0 if len(operator_set) > 1 else -hi
-    t = np.array([(lo + hi) / 2])
+    t = [(lo + hi) / 2]
     r = (hi - lo) / 2
-    points = np.array([t[0], lo, hi])
-    upper, best = np.inf, hi
-    # the midpoints, estimates, first shifts, floors and common r of the
-    # final boxes of each level that keeps one
+    points = t + [lo, hi]
+    upper, best = math.inf, hi
+    # the final boxes of every level, as _proved_floors takes them
     finals = []
     boxes = 0
     for level in range(MAX_LEVELS):
-        estimate = np.linalg.eigvalsh(red.matrices(points))[:, 0]
-        square = points * points
-        h = estimate + square
-        j = h.argmin()
-        if h[j] < upper:
-            upper, best = float(h[j]), float(points[j])
-        estimate, square = estimate[: t.size], square[: t.size]
-        boxes += t.size
+        estimates = np.linalg.eigvalsh(red.matrices(points))[:, 0].tolist()
+        # the first point at the least h, as argmin takes it
+        for point, estimate in zip(points, estimates):
+            h = estimate + point * point
+            if h < upper:
+                upper, best = h, point
+        boxes += len(t)
         tol = INTERVAL_TOLERANCE * max(1.0, upper)
         # each box's first shift and its floor there, which its split test
-        # reads and, for a final box, its proof
-        abs_t = np.abs(t)
-        shift = estimate - (red.d0 + red.d1 * abs_t)
-        floors = red.floors(shift, abs_t, square, r)
+        # reads and, for a final box, its proof: (t, r, estimate, shift, floor)
+        level_boxes = []
+        for c, estimate in zip(t, estimates):
+            shift = estimate - (red.d0 + red.d1 * abs(c))
+            level_boxes.append((c, r, estimate, shift, _floor(red, shift, c, r)))
         # A box's bound is at least upper - r^2 less its allowance, so a box
         # with r^2 <= tol / BOX_SPLIT^2 gains nothing that matters by
         # splitting; and a variance sum is never negative, so when upper <= tol
         # the lower end 0 already closes the gap.
-        count = 0
+        split = []
         if level + 1 < MAX_LEVELS and r * r > tol / BOX_SPLIT**2 and upper > tol:
-            split = floors < upper + red.e0 - tol
-            count = np.count_nonzero(split)
-        if count == 0 or BOX_SPLIT * count > MAX_LEVEL_BOXES:
-            finals.append((t, estimate, shift, floors, r))
+            cut = upper + red.e0 - tol
+            split = [box for box in level_boxes if box[4] < cut]
+        if not split or BOX_SPLIT * len(split) > MAX_LEVEL_BOXES:
+            finals += level_boxes
             break
-        if count < t.size:
-            final = ~split
-            finals.append((t[final], estimate[final], shift[final], floors[final], r))
+        finals += [box for box in level_boxes if not box[4] < cut]
         r /= BOX_SPLIT
-        t = (t[split, None] + r * _CHILD_OFFSETS).ravel()
-        points = t
+        steps = [r * k for k in _CHILD_OFFSETS]
+        t = points = [box[0] + step for box in split for step in steps]
 
-    if len(finals) == 1:
-        t, estimate, shift, floors, r = finals[0]
-    else:
-        *parts, radii = zip(*finals)
-        r = np.repeat(radii, [part.size for part in parts[0]])
-        t, estimate, shift, floors = (np.concatenate(part) for part in parts)
-    lower = max(0.0, float(_proved_floors(red, t, r, estimate, shift, floors).min()))
+    lower = max(0.0, min(_proved_floors(red, finals)))
     argmin = PureState.canonical(np.linalg.eigh(red.q - 2 * best * red.a)[1][:, 0])
     # the sum as the descent evaluates it, at the state's real coordinates
     x = np.concatenate([argmin.amplitudes.real, argmin.amplitudes.imag])[:, None]
     minimum = float(_sums(red.stack, x)[0][0])
-    upper = float(np.nextafter(minimum + red.e0, np.inf))
+    upper = math.nextafter(minimum + red.e0, math.inf)
     return IntervalResult(lower, upper, minimum, argmin, boxes)

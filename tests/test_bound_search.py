@@ -553,13 +553,15 @@ def exactly_above(axes, scale, two_l, t, floor):
 
 def final_boxes(op_set, reach):
     """``interval_minimum(op_set, reach)`` with its final boxes recorded:
-    the result, and the boxes' midpoints, radii and proved floors.  A
-    search whose final boxes share one radius passes it as a scalar."""
+    the result, and the boxes' midpoints, radii and proved floors as
+    arrays."""
     calls = []
 
-    def recording(red, t, r, estimate, shift, floors, prove=bound_search._proved_floors):
-        calls.append((t, np.broadcast_to(r, t.shape), prove(red, t, r, estimate, shift, floors)))
-        return calls[-1][2]
+    def recording(red, boxes, prove=bound_search._proved_floors):
+        floors = prove(red, boxes)
+        t, r = (np.array(v) for v in list(zip(*boxes))[:2])
+        calls.append((t, r, np.array(floors)))
+        return floors
 
     with mock.patch.object(bound_search, "_proved_floors", recording):
         res = interval_minimum(op_set, reach)
@@ -609,6 +611,8 @@ def test_the_interval_search_makes_each_numpy_call_once(monkeypatch):
     for name in ("eigvalsh", "eigh"):
         _counting(monkeypatch, np.linalg, name, calls)
     _counting(monkeypatch, bound_search, "_factorizes", calls)
+    # each box's numbers are Python floats, rounded by math.nextafter
+    _counting(monkeypatch, np, "nextafter", calls)
     op_set, reach = builtin_set("spin", "xy", 2)
     assert interval_minimum(op_set, reach).boxes == 57
     assert calls == {"eigvalsh": 6, "_factorizes": 1, "eigh": 1}

@@ -2,15 +2,18 @@
 
 ``interval_reference`` keeps the search whose every level built per-box
 radii, a full floor chain and a split mask as arrays.  The search now
-takes one radius per level and builds the floor chain and the mask only
-when a box can split, but it makes the same floating-point operations in
-the same order, so every field of the result must equal the reference's
-exactly, on whatever BLAS both run on.
+takes one radius per level and keeps each box's numbers as Python floats,
+with numpy only for the matrix stacks, but it makes the same
+floating-point operations in the same order, so every field of the result
+must equal the reference's exactly, on whatever BLAS both run on.
 """
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import interval_reference
 from lurcert import bound_search
@@ -37,6 +40,28 @@ def assert_matches_reference(family, axes, two_l):
     want = interval_reference.interval_minimum(op_set, reach)
     assert fields(interval_minimum(op_set, reach)) == fields(want), (family, axes, two_l)
     return want
+
+
+# finite floats of either sign up to 1e150, so that t^2 and r^2 stay finite;
+# hypothesis draws +-0.0 and subnormals among them
+BOX_FLOATS = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
+
+
+@pytest.mark.parametrize("axes", ["xy", "yx"])
+@settings(max_examples=300, deadline=None)
+@given(shift=BOX_FLOATS, t=BOX_FLOATS, r=BOX_FLOATS)
+@example(shift=0.0, t=-0.0, r=5e-324)
+@example(shift=-0.0, t=5e-324, r=-2.2250738585072014e-308)
+@example(shift=-1e150, t=1e150, r=-1e150)
+def test_the_scalar_floor_is_the_reference_floor_rule(axes, shift, t, r):
+    # spin:xy factors the real parts and spin:yx the block form; both
+    # reductions hold the reference's allowance constants bit for bit
+    op_set, _ = builtin_set("spin", axes, 3)
+    red, want = bound_search._Reduction(op_set), interval_reference._Reduction(op_set)
+    assert [v.hex() for v in (red.c0, red.c1, red.c2)] == [v.hex() for v in (want.c0, want.c1, want.c2)]
+    floor = bound_search._floor(red, shift, t, r)
+    assert type(floor) is float
+    assert floor.hex() == float(want.floors(*(np.array([v]) for v in (shift, t, r)))[0]).hex()
 
 
 @pytest.mark.parametrize("family", sorted(AXES))

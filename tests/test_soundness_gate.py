@@ -43,12 +43,16 @@ states plus an anti-Hermitian part of 0.49 eps off the diagonal at eps =
 1e-3, in process: positivity is judged on rho_H, which is the pure state,
 so none is refused and each certifies as the pure state does.
 
-Two classes certify against bound files, each through the in-process
+Three classes certify against bound files, each through the in-process
 ``cli.main``:
 
 - the descent file of two random Hermitian 3 x 3 operators, whose
   2-restart bound lies above the true minimum, so the product of two
   minimizers breaks (a): a strict xfail of ROADMAP item 3;
+- the descent file of Pauli X and Z times 2^66, whose exact minimum is
+  2^132: the descent's absolute step constants stop all 8 restarts 14 %
+  above it, so the product |00> breaks (a): a strict xfail of ROADMAP
+  item 3;
 - the interval files of spin:xy at 2l = 1, 2 and stokes:12 at n = 2 with
   every operator times a power of two s and the bound times s^2, still
   proven bounds, against the argmin product, unperturbed and with the
@@ -483,6 +487,39 @@ class TestDescentFile:
     def test_the_argmin_product_is_not_called_entangled(self, descent):
         _, _, (result, violation) = descent
         assert result != "entangled", f"the product of two minimizers is ENTANGLED at C = {violation}"
+
+
+# Pauli X and Z times LARGE_SCALE: an exact minimum uncertainty sum of
+# LARGE_SCALE^2, at an eigenstate of either
+LARGE_SCALE = 2.0**66
+
+
+class TestLargeDescentFile:
+    """The 8-restart descent file of Pauli X and Z times ``LARGE_SCALE``
+    (seed 0), against the product |00>, whose total is exactly twice the
+    true minimum."""
+
+    @pytest.fixture(scope="class")
+    def large(self, tmp_path_factory):
+        workdir = tmp_path_factory.mktemp("large")
+        pauli = [np.array([[0, 1], [1, 0]], dtype=complex), np.diag([1, -1]).astype(complex)]
+        ops_file, bound_file = workdir / "ops.json", workdir / "bound.json"
+        ops_file.write_text(json.dumps({"label": "large", "operators": operator_rows(LARGE_SCALE * a for a in pauli)}))
+        code, _ = run_cli(["search-bound", "--set", ops_file, "--restarts", 8, "--emit-bound", bound_file])
+        assert code == cli.EXIT_OK
+        state = product_file(np.array([1.0, 0.0]), 0.0, workdir / "product.json")
+        return json.loads(bound_file.read_text())["bound"], certified(state, bound_file)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 3: the descent's absolute step constants stop it above the minimum of large operators",
+    )
+    def test_the_file_bound_is_at_most_the_minimum(self, large):
+        bound, (result, violation) = large
+        assert bound <= LARGE_SCALE**2 and result != "entangled", (
+            f"bound {bound / LARGE_SCALE**2} x the minimum; the product |00> is {result} at C = {violation}"
+        )
 
 
 # operator scales, powers of two, so that s A and s^2 U are exact
