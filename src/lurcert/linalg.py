@@ -175,25 +175,6 @@ def _demmel(size: int, complex_arithmetic: bool = False) -> float:
     return c / (1 - c)
 
 
-def _completes(matrices: np.ndarray) -> bool:
-    """Whether a floating-point Cholesky factorization of ``matrices``, a
-    matrix or a stack of them, runs to completion for every one."""
-    try:
-        np.linalg.cholesky(matrices)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def _factorizes(stack: np.ndarray) -> np.ndarray:
-    """Whether each matrix of the stack has a floating-point Cholesky
-    factorization that runs to completion."""
-    if _completes(stack):
-        return np.ones(len(stack), dtype=bool)
-    # a stack of one has failed already
-    return np.array([len(stack) > 1 and _completes(m) for m in stack], dtype=bool)
-
-
 def _proves_floor(hermitian: np.ndarray, tolerance: float) -> bool:
     """Whether a Cholesky factorization proves that the exact rho_H =
     (rho + rho^H)/2 has no eigenvalue below -``tolerance``.
@@ -246,4 +227,8 @@ def _proves_floor(hermitian: np.ndarray, tolerance: float) -> bool:
         return False
     diagonal = hermitian.reshape(-1)[:: dim + 1]
     diagonal += tolerance - allowance
-    return _completes(hermitian)
+    try:
+        np.linalg.cholesky(hermitian)
+    except np.linalg.LinAlgError:
+        return False
+    return True

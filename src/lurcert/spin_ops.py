@@ -67,10 +67,17 @@ class OperatorSet:
     each operator; the operators of bound and operator files come through
     it.  The spin and Stokes sets of this module are exactly Hermitian by
     construction and are handed over through ``_adopt`` instead.
+
+    ``_shape`` is (2l, c, axes) for a set that this module built from the
+    components c L_x, c L_y, c L_z (c = 1 spin, 2 Stokes), numbered 0, 1
+    and 2 in ``axes`` in the set's order, and None for any other set; the
+    interval search proves only sets with a shape.
     """
 
     label: str
     operators: tuple[np.ndarray, ...]
+    # not a field: only _adopt sets it
+    _shape = None
 
     def __post_init__(self):
         if len(self.operators) == 0:
@@ -98,8 +105,9 @@ class OperatorSet:
         object.__setattr__(self, "operators", tuple(ops))
 
     @classmethod
-    def _adopt(cls, label: str, operators: tuple[np.ndarray, ...]) -> "OperatorSet":
-        """The set of ``operators``, with no check and no copy.
+    def _adopt(cls, label: str, operators: tuple[np.ndarray, ...], shape=None) -> "OperatorSet":
+        """The set of ``operators``, with no check and no copy, and with
+        ``shape`` as its ``_shape``.
 
         The one hand-over path of ``spin_components``, ``stokes_components``,
         ``spin_subset`` and ``stokes_subset``, whose operators are exactly
@@ -126,6 +134,7 @@ class OperatorSet:
             op.setflags(write=False)
         op_set = object.__new__(cls)
         object.__setattr__(op_set, "label", label)
+        object.__setattr__(op_set, "_shape", shape)
         object.__setattr__(op_set, "operators", operators)
         return op_set
 
@@ -182,13 +191,14 @@ def _stokes_matrices(n_photons: int, axes: tuple[int, ...] = (0, 1, 2)) -> tuple
 
 def spin_components(spin: SpinQuantum) -> OperatorSet:
     """Angular momentum components {L_x, L_y, L_z} of a spin-l system."""
-    return OperatorSet._adopt(f"L(l={spin})", _spin_matrices(spin))
+    return OperatorSet._adopt(f"L(l={spin})", _spin_matrices(spin), (spin.two_l, 1.0, (0, 1, 2)))
 
 
 def stokes_components(n_photons: int) -> OperatorSet:
     """Stokes operators {S_1, S_2, S_3} = {2L_x, 2L_y, 2L_z} of an n-photon
     polarization state (dimension n + 1; Pauli matrices at n = 1)."""
-    return OperatorSet._adopt(f"S(n={n_photons})", _stokes_matrices(n_photons))
+    ops = _stokes_matrices(n_photons)
+    return OperatorSet._adopt(f"S(n={n_photons})", ops, (len(ops[0]) - 1, 2.0, (0, 1, 2)))
 
 
 _SPIN_AXES = {"x": 0, "y": 1, "z": 2}
@@ -197,15 +207,18 @@ _STOKES_AXES = {"1": 0, "2": 1, "3": 2}
 
 def spin_subset(spin: SpinQuantum, axes: str) -> OperatorSet:
     """Subset of spin components, e.g. ``axes="xy"`` for {L_x, L_y}."""
-    picked = _spin_matrices(spin, _picked(axes, _SPIN_AXES))
-    return OperatorSet._adopt(f"L{{{','.join(axes)}}}(l={spin})", picked)
+    numbers = _picked(axes, _SPIN_AXES)
+    picked = _spin_matrices(spin, numbers)
+    return OperatorSet._adopt(f"L{{{','.join(axes)}}}(l={spin})", picked, (spin.two_l, 1.0, numbers))
 
 
 def stokes_subset(n_photons: int, components: str) -> OperatorSet:
     """Subset of Stokes components, e.g. ``components="12"`` for {S_1, S_2}."""
     n_photons = _photon_number(n_photons)  # refused before the components
-    picked = _stokes_matrices(n_photons, _picked(components, _STOKES_AXES))
-    return OperatorSet._adopt(f"S{{{','.join(components)}}}(n={n_photons})", picked)
+    numbers = _picked(components, _STOKES_AXES)
+    picked = _stokes_matrices(n_photons, numbers)
+    label = f"S{{{','.join(components)}}}(n={n_photons})"
+    return OperatorSet._adopt(label, picked, (n_photons, 2.0, numbers))
 
 
 def _picked(names: str, table: dict[str, int]) -> tuple[int, ...]:

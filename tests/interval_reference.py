@@ -1,12 +1,16 @@
-"""The interval search as it stood before its numpy calls were cut, kept
-as the reference that ``tests/test_interval_parity.py`` holds
-``bound_search.interval_minimum`` to, bit for bit.
+"""The interval search as it stood at 0.4.0, kept as the reference that
+``tests/test_interval_parity.py`` holds ``bound_search.interval_minimum``
+to: the two intervals must overlap, each within the tolerance.
 
 ``_row_norm``, ``_round_down``, ``_Reduction``, ``_proved_floors`` and
-``interval_minimum`` below are that code unchanged; every level builds its
-per-box radii, floor chain and split mask as arrays.  The constants and
-the helpers that did not change come from ``lurcert.bound_search``, so a
-test that lowers a cap must lower it here too.
+``interval_minimum`` below are that code unchanged: every level builds its
+per-box radii, floor chain and split mask as arrays, each proof is a
+dense Cholesky factorization of the set's own Q - 2tA (in the real block
+form when it is complex), and the upper end is evaluated on the real
+block form.  ``_completes`` and ``_factorizes`` are its Cholesky rule, as
+``lurcert.linalg`` held it.  The constants and the helpers that did not
+change come from ``lurcert.bound_search``, so a test that lowers a cap
+must lower it here too.
 """
 
 import numpy as np
@@ -15,20 +19,39 @@ from lurcert.bound_search import (
     _CHILD_OFFSETS,
     _UNIT_ROUNDOFF,
     BOX_SPLIT,
-    CHOLESKY_RETRIES,
     INTERVAL_TOLERANCE,
     MAX_LEVEL_BOXES,
     MAX_LEVELS,
     SHIFT_WIDENING,
     IntervalResult,
     _evaluate,
-    _factorizes,
     _gamma,
     _operator_stack,
 )
 from lurcert.linalg import InvalidParameterError
 from lurcert.spin_ops import OperatorSet
 from lurcert.states import PureState
+
+CHOLESKY_RETRIES = 8
+
+
+def _completes(matrices: np.ndarray) -> bool:
+    """Whether a floating-point Cholesky factorization of ``matrices``, a
+    matrix or a stack of them, runs to completion for every one."""
+    try:
+        np.linalg.cholesky(matrices)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _factorizes(stack: np.ndarray) -> np.ndarray:
+    """Whether each matrix of the stack has a floating-point Cholesky
+    factorization that runs to completion."""
+    if _completes(stack):
+        return np.ones(len(stack), dtype=bool)
+    # a stack of one has failed already
+    return np.array([len(stack) > 1 and _completes(m) for m in stack], dtype=bool)
 
 
 def _row_norm(m: np.ndarray) -> float:

@@ -456,7 +456,10 @@ def test_every_pair_of_axes_gives_the_interval_of_the_first(family, pairs):
             assert max(res.lower, base.lower) <= min(res.upper, base.upper)
 
 
-@pytest.mark.parametrize("spec", ["spin:x", "spin:y", "spin:z", "stokes:1", "stokes:2"])
+SINGLE_AXES = ["spin:x", "spin:y", "spin:z", "stokes:1", "stokes:2", "stokes:3"]
+
+
+@pytest.mark.parametrize("spec", SINGLE_AXES)
 def test_a_single_axis_gives_zero(spec, capsys):
     for two_l in range(0, 5):
         family, axes = spec.split(":")
@@ -468,26 +471,65 @@ def test_a_single_axis_gives_zero(spec, capsys):
         assert "note: minimum is ~0, a common eigenstate exists; no usable uncertainty limit" in out
 
 
-@pytest.mark.parametrize("reach", [-0.5, 0.3, float("inf"), float("nan")])
-def test_a_reach_off_the_half_integers_is_refused(reach):
-    # box ends must stay exact binary fractions of c l
-    with pytest.raises(InvalidParameterError, match="reach must be a nonnegative multiple of 1/2"):
-        interval_minimum(spin_subset(SpinQuantum(2), "xy"), reach)
+@pytest.mark.parametrize("spec", SINGLE_AXES)
+def test_a_single_axis_closes_within_the_tolerance_up_to_the_cap(spec):
+    # the lower end is 0, so the gap is the upper end: the sum at an
+    # eigenvector plus the bound on its evaluation, which must stay within
+    # the tolerance at the largest operators (a Stokes operator at n = 63)
+    family, axes = spec.split(":")
+    for two_l in range(49, 64):
+        res = interval_minimum(*builtin_set(family, axes, two_l))
+        assert res.lower == 0.0 and abs(res.minimum) <= res.upper, two_l
+        assert res.gap <= tolerance(res), (two_l, res.gap)
 
 
-def test_a_failed_cholesky_proves_nothing(monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("family, two_l, reach", [
+    ("spin", 2, 0.5), ("spin", 2, 2.0), ("spin", 3, 3.0), ("spin", 0, 0.5),
+    ("stokes", 3, 1.5), ("stokes", 2, 1.0),
+    ("spin", 2, -0.5), ("spin", 2, 0.3), ("spin", 2, float("inf")), ("spin", 2, float("nan")),
+])
+def test_a_reach_other_than_c_l_is_refused(family, two_l, reach):
+    # the reach sets the search range [0, c l], which must hold every mean,
+    # and keeps every box end an exact binary fraction
+    op_set = builtin_set(family, "xy" if family == "spin" else "12", two_l)[0]
+    with pytest.raises(InvalidParameterError, match="reach must be c l = "):
+        interval_minimum(op_set, reach)
+
+
+def test_a_set_that_is_not_built_in_is_refused():
+    # the lower end is proved on the pencil of the set's shape, which holds
+    # only for the built-in components themselves: Pauli X and Z over 10
+    # have the minimum 0.01, not the 1/4 of spin-1/2 xy.  Only the built-in
+    # constructors record a shape, so even a copy of their matrices through
+    # OperatorSet(...) is refused
+    pauli_x, pauli_z = np.array([[0, 1], [1, 0]], complex), np.array([[1, 0], [0, -1]], complex)
+    xy = spin_subset(SpinQuantum(2), "xy")
+    for op_set, reach in [
+        (OperatorSet("file", (pauli_x / 10, pauli_z / 10)), 0.5),
+        (OperatorSet("negated", (-xy.operators[0], xy.operators[1])), 1.0),
+        (OperatorSet("copy", xy.operators), 1.0),
+    ]:
+        assert op_set._shape is None
+        with pytest.raises(InvalidParameterError, match="is not a built-in spin or Stokes subset"):
+            interval_minimum(op_set, reach)
+    assert xy._shape == (2, 1.0, (0, 1))
+    assert stokes_subset(3, "31")._shape == (3, 2.0, (2, 0))
+    assert spin_components(SpinQuantum(5))._shape == (5, 1.0, (0, 1, 2))
+
+
+def test_a_failed_proof_proves_nothing(monkeypatch, tmp_path, capsys):
     op_set, reach = builtin_set("spin", "xy", 2)
     proved = interval_minimum(op_set, reach)
     calls = []
 
-    def failing(a):
-        calls.append(np.shape(a))
-        raise np.linalg.LinAlgError("patched to fail")
+    def failing(pen, t, shift):
+        calls.append(len(t))
+        return [False] * len(t)
 
-    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    monkeypatch.setattr(bound_search, "_pivots_positive", failing)
     res = interval_minimum(op_set, reach)
     # every box was tried, and retried, and none is taken on trust
-    assert len(calls) > bound_search.CHOLESKY_RETRIES
+    assert len(calls) == bound_search.PROOF_RETRIES + 1 and len(set(calls)) == 1
     assert res.lower == 0.0 and res.upper == proved.upper
     bound_path = tmp_path / "bound.json"
     assert cli.main(["search-bound", "--set", "spin:xy", "--two-l", "2",
@@ -496,55 +538,57 @@ def test_a_failed_cholesky_proves_nothing(monkeypatch, tmp_path, capsys):
     assert json.loads(bound_path.read_text())["bound"] == 0.0
 
 
-def test_a_failed_stack_is_proved_matrix_by_matrix(monkeypatch):
-    # one failing matrix fails numpy's stacked call; the others still prove
-    op_set, reach = builtin_set("spin", "xy", 3)
-    proved = interval_minimum(op_set, reach)
-    cholesky = np.linalg.cholesky
-
-    def stack_fails(a):
-        if np.ndim(a) == 3:
-            raise np.linalg.LinAlgError("patched to fail")
-        return cholesky(a)
-
-    monkeypatch.setattr(np.linalg, "cholesky", stack_fails)
-    res = interval_minimum(op_set, reach)
-    assert res.lower == proved.lower > 0
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_one_failing_box_leaves_the_others_proved(k):
+    # the pivot pass runs across the boxes, each on its own: a box whose
+    # shift is raised above its eigenvalue fails alone
+    pen = bound_search._Pencil(k, 5, 1.0)
+    t = [0.25, 0.75, 1.25, 2.0]
+    estimates = np.linalg.eigvalsh(pen.matrices(t))[:, 0]
+    shift = (estimates - 1e-9).tolist()
+    assert bound_search._pivots_positive(pen, t, shift) == [True] * 4
+    shift[1] = float(estimates[1]) + 1e-6
+    assert bound_search._pivots_positive(pen, t, shift) == [True, False, True, True]
+    for i in range(4):
+        assert bound_search._pivots_positive(pen, t[i:i + 1], shift[i:i + 1]) == [i != 1]
 
 
 def test_a_widened_shift_still_proves_a_lower_end(monkeypatch):
-    # the first factorization of every box fails, so each proof takes the
+    # the first pivot pass fails every box, so each proof takes the
     # once-widened shift, and the lower end moves down but stays proved
     op_set, reach = builtin_set("stokes", "12", 2)
     proved = interval_minimum(op_set, reach)
-    factorizes = bound_search._factorizes
+    pivots_positive = bound_search._pivots_positive
     attempts = []
 
-    def first_fails(stack):
-        attempts.append(len(stack))
-        ok = factorizes(stack)
-        return ok & (len(attempts) > 1)
+    def first_fails(pen, t, shift):
+        attempts.append(len(t))
+        ok = pivots_positive(pen, t, shift)
+        return [proved and len(attempts) > 1 for proved in ok]
 
-    monkeypatch.setattr(bound_search, "_factorizes", first_fails)
+    monkeypatch.setattr(bound_search, "_pivots_positive", first_fails)
     res = interval_minimum(op_set, reach)
     assert len(attempts) == 2 and attempts[0] == attempts[1]
     assert 0 < res.lower < proved.lower <= 1.75 <= res.upper == proved.upper
 
 
-def exactly_above(axes, scale, two_l, t, floor):
+def exactly_above(k, scale, two_l, t, floor):
     """Whether lambda_min(Q - 2tA) >= floor - t^2 holds for the exact
-    spin-l L_x, L_y (and L_z for ``axes="xyz"``) times ``scale``, with A
-    = L_x or L_y.  Q is diagonal and A tridiagonal, with off-diagonal squares
-    t^2 scale^2 (l(l+1) - m(m+1)) in rationals, so the LDL^T pivots decide
-    it exactly."""
+    pencil of k spin-l components times ``scale``: Q diagonal, with
+    A = L_z (k = 1) or the tridiagonal L_x, whose off-diagonal squares make
+    those of 2tA t^2 scale^2 (l(l+1) - m(m+1)), all rationals, so the LDL^T
+    pivots decide it exactly."""
     l = Fraction(two_l, 2)
     shift = Fraction(floor) - t * t
     pivot = None
-    for k in range(two_l + 1):
-        m = l - k
-        entry = scale**2 * (l * (l + 1) - (0 if axes == "xyz" else m * m)) - shift
-        if k:
-            entry -= scale**2 * t * t * (l * (l + 1) - m * (m + 1)) / pivot
+    for j in range(two_l + 1):
+        m = l - j
+        if k == 1:
+            entry = scale**2 * m * m - 2 * t * scale * m - shift
+        else:
+            entry = scale**2 * (l * (l + 1) - (m * m if k == 2 else 0)) - shift
+            if j:
+                entry -= scale**2 * t * t * (l * (l + 1) - m * (m + 1)) / pivot
         if entry < 0:
             return False
         pivot = entry if entry else Fraction(1, 10**30)
@@ -557,8 +601,8 @@ def final_boxes(op_set, reach):
     arrays."""
     calls = []
 
-    def recording(red, boxes, prove=bound_search._proved_floors):
-        floors = prove(red, boxes)
+    def recording(pen, boxes, prove=bound_search._proved_floors):
+        floors = prove(pen, boxes)
         t, r = (np.array(v) for v in list(zip(*boxes))[:2])
         calls.append((t, r, np.array(floors)))
         return floors
@@ -569,29 +613,52 @@ def final_boxes(op_set, reach):
     return res, t, r, floors
 
 
-def assert_boxes_tile(t, r, reach):
-    """The boxes [t - r, t + r] tile [0, reach] exactly."""
+def assert_boxes_tile(t, r, reach, lo=0):
+    """The boxes [t - r, t + r] tile [lo, reach] exactly."""
     boxes = sorted((Fraction(c) - Fraction(w), Fraction(c) + Fraction(w)) for c, w in zip(t, r))
-    assert boxes[0][0] == 0 and boxes[-1][1] == Fraction(reach)
+    assert boxes[0][0] == lo and boxes[-1][1] == Fraction(reach)
     assert all(a[1] == b[0] for a, b in zip(boxes, boxes[1:]))
 
 
 @pytest.mark.parametrize("family, axes", [
-    ("spin", "xy"), ("stokes", "12"), ("spin", "xyz"), ("stokes", "123"), ("spin", "yx"), ("stokes", "21"),
+    ("spin", "xy"), ("spin", "yx"), ("spin", "xz"), ("spin", "zx"), ("spin", "yz"), ("spin", "zy"),
+    ("spin", "xyz"), ("spin", "zyx"), ("spin", "x"), ("spin", "y"), ("spin", "z"),
+    ("stokes", "12"), ("stokes", "21"), ("stokes", "13"), ("stokes", "31"), ("stokes", "23"),
+    ("stokes", "32"), ("stokes", "123"), ("stokes", "321"), ("stokes", "1"), ("stokes", "2"), ("stokes", "3"),
 ])
 def test_final_boxes_cover_the_range_and_hold_exactly(family, axes):
-    # every final box bound is checked against the exact spin matrices in
-    # rational arithmetic, and the final boxes tile [0, c l]; with L_y first
-    # the pivots are those of L_x, since they take only |off-diagonal|^2
+    # every final box bound is checked against the exact pencil of the
+    # set's shape in rational arithmetic, and the final boxes tile the
+    # range [0, c l], or [-c l, c l] for one operator; every order of k
+    # components shares that pencil
     scale = 1 if family == "spin" else 2
-    for two_l in range(1, 9):
+    for two_l in range(13):
         op_set, reach = builtin_set(family, axes, two_l)
         res, t, r, floors = final_boxes(op_set, reach)
         assert res.lower == max(0.0, floors.min())
-        assert_boxes_tile(t, r, reach)
+        assert_boxes_tile(t, r, reach, 0 if len(axes) > 1 else -Fraction(reach))
         for c, w, floor in zip(t, r, floors):
             c, w = Fraction(c), Fraction(w)
-            assert exactly_above("xyz" if len(axes) == 3 else "xy", scale, two_l, c, Fraction(floor) + w * w)
+            assert exactly_above(len(axes), scale, two_l, c, Fraction(floor) + w * w), (two_l, c)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+@settings(max_examples=60, deadline=None)
+@given(two_l=st.integers(1, 9), where=st.floats(0, 1), ulps=st.integers(-64, 64))
+def test_a_pivot_proof_holds_for_the_exact_pencil(k, scale, two_l, where, ulps):
+    # a shift at or just around the eigenvalue estimate: whenever the pivot
+    # pass proves it, the exact pencil's least eigenvalue is at least the
+    # shift less the allowance c0 + c1 |t|
+    reach = scale * two_l / 2
+    t = (where * 2 - 1) * reach if k == 1 else where * reach
+    pen = bound_search._Pencil(k, two_l, scale)
+    estimate = float(np.linalg.eigvalsh(pen.matrices([t]))[0, 0])
+    shift = estimate + ulps * np.spacing(max(1.0, abs(estimate)))
+    if bound_search._pivots_positive(pen, [t], [shift]) == [True]:
+        allowance = Fraction(pen.c0) + Fraction(pen.c1) * abs(Fraction(t))
+        t = Fraction(t)
+        assert exactly_above(k, int(scale), two_l, t, Fraction(shift) - allowance + t * t)
 
 
 def _counting(monkeypatch, owner, name, calls):
@@ -606,16 +673,17 @@ def _counting(monkeypatch, owner, name, calls):
 
 def test_the_interval_search_makes_each_numpy_call_once(monkeypatch):
     # spin:xy at 2l = 2 evaluates six levels (1, 8, 8, 16, 8 and 16 boxes),
-    # proves every final box in one stack and takes one eigenvector
+    # proves every final box in one pivot pass and takes one eigenvector;
+    # it factors no matrix
     calls = {}
-    for name in ("eigvalsh", "eigh"):
+    for name in ("eigvalsh", "eigh", "cholesky"):
         _counting(monkeypatch, np.linalg, name, calls)
-    _counting(monkeypatch, bound_search, "_factorizes", calls)
+    _counting(monkeypatch, bound_search, "_pivots_positive", calls)
     # each box's numbers are Python floats, rounded by math.nextafter
     _counting(monkeypatch, np, "nextafter", calls)
     op_set, reach = builtin_set("spin", "xy", 2)
     assert interval_minimum(op_set, reach).boxes == 57
-    assert calls == {"eigvalsh": 6, "_factorizes": 1, "eigh": 1}
+    assert calls == {"eigvalsh": 6, "_pivots_positive": 1, "eigh": 1}
 
 
 def _count_hermiticity_checks(monkeypatch, calls):
